@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .core import Graph, Iri, Mapping, Triple, subsumed_mapping
-from .evaluation import evaluate
+from .evaluation import SolutionSet, evaluate
 from .pattern import Pattern, leftmost_basic, pattern_constants, pattern_vars
 
 
@@ -94,24 +94,30 @@ def check_subsumed_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     return Verdict(Status.HOLDS_ON_GRAPH)
 
 
+def _first_missing(mine: SolutionSet, theirs: SolutionSet, g: Graph) -> Verdict:
+    # The first mapping of `mine`, in canonical order, that `theirs` lacks.
+    missing = mine.mappings - theirs.mappings
+    if not missing:
+        return Verdict(Status.HOLDS_ON_GRAPH)
+    return Verdict(Status.VIOLATED, witness=(g, min(missing, key=lambda m: m.sort_key)))
+
+
 def check_contained_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     """Is every solution of p on g literally a solution of p2 on g?"""
     mine = evaluate(p, g)
     if not mine.mappings:
         return Verdict(Status.HOLDS_ON_GRAPH)
-    theirs = evaluate(p2, g).mappings
-    for m in mine.sorted():
-        if m not in theirs:
-            return Verdict(Status.VIOLATED, witness=(g, m))
-    return Verdict(Status.HOLDS_ON_GRAPH)
+    return _first_missing(mine, evaluate(p2, g), g)
 
 
 def check_equivalent_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
-    """Containment in both directions on one graph."""
-    forward = check_contained_on(p, p2, g)
+    """Containment in both directions on one graph, forward first; each
+    side is evaluated once."""
+    mine, theirs = evaluate(p, g), evaluate(p2, g)
+    forward = _first_missing(mine, theirs, g)
     if forward.status is Status.VIOLATED:
         return forward
-    return check_contained_on(p2, p, g)
+    return _first_missing(theirs, mine, g)
 
 
 def _dedupe(vocabulary: Sequence[Iri]) -> list[Iri]:

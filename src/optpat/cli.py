@@ -6,12 +6,13 @@ output, --out for the artifact directory, --seed reserved for randomized
 tooling (every shipped command is deterministic).
 
 Exit codes: 0 success / property holds / nothing found within budget,
-1 violated or failed verification, 2 parse/IO/usage errors, 3 no periodic
-tiling found within bounds (witness, pipeline).
+1 violated or failed verification, 2 parse/IO/usage errors and internal
+failures, 3 no periodic tiling found within bounds (witness, pipeline).
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -88,7 +89,23 @@ def _sha256(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports an unexpected exception as one line with exit 2, so a crash
+    never reads as exit 1 ("violated"), with or without standalone mode."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            if isinstance(exc, OSError) and exc.errno == errno.EPIPE:
+                raise
+            message = " ".join(str(exc).split())
+            _fail(f"internal: {type(exc).__name__}" + (f": {message}" if message else ""))
+
+
+@click.group(cls=_Group)
 @click.option("--json", "as_json", is_flag=True, help="Emit machine-readable JSON on stdout.")
 @click.option(
     "--out",

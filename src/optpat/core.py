@@ -2,8 +2,10 @@
 
 IRIs are bare ASCII identifiers (no angle brackets or namespaces), and the
 graph text format is a line-oriented N-Triples subset. Everything here is
-immutable and hashable; the mapping algebra (`compatible`, `subsumed_mapping`,
-`merge`) is shared by the evaluator and the analysis routines.
+immutable and hashable. The mapping algebra (`compatible`, `subsumed_mapping`,
+`merge`) defines the operations on solutions; the analysis routines use
+`subsumed_mapping`, and the evaluator's hash join yields exactly the merges
+of compatible pairs without testing pairs one by one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class Iri:
     def __post_init__(self) -> None:
         _check_ident(self.name, "IRI")
 
+    def __hash__(self) -> int:
+        # The name alone: cheaper than the generated hash of a one-field tuple.
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 
@@ -55,6 +61,9 @@ class Var:
     def __post_init__(self) -> None:
         _check_ident(self.name, "variable")
 
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __str__(self) -> str:
         return "?" + self.name
 
@@ -65,17 +74,30 @@ class Triple:
     predicate: Iri
     object: Iri
 
+    def __post_init__(self) -> None:
+        # Graphs and candidate sets hash each triple many times.
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object} ."
 
 
 class Graph:
-    """A finite, duplicate-free set of ground triples."""
+    """A finite, duplicate-free set of ground triples.
 
-    __slots__ = ("triples",)
+    The sorted triple list and the predicate index are built on first use
+    and kept, so every evaluation over the same graph shares them.
+    """
+
+    __slots__ = ("triples", "_sorted", "_by_predicate")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self.triples: frozenset[Triple] = frozenset(triples)
+        self._sorted: tuple[Triple, ...] | None = None
+        self._by_predicate: dict[Iri, tuple[Triple, ...]] | None = None
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.triples
@@ -96,7 +118,19 @@ class Graph:
         return f"Graph(<{len(self.triples)} triples>)"
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples)
+        return list(self.predicate_index()[0])
+
+    def predicate_index(self) -> tuple[tuple[Triple, ...], dict[Iri, tuple[Triple, ...]]]:
+        """All triples in sorted order, and the triples of each predicate in
+        sorted order. Built once per graph; callers must not mutate the dict."""
+        if self._sorted is None:
+            ordered = tuple(sorted(self.triples))
+            groups: dict[Iri, list[Triple]] = {}
+            for t in ordered:
+                groups.setdefault(t.predicate, []).append(t)
+            self._by_predicate = {p: tuple(ts) for p, ts in groups.items()}
+            self._sorted = ordered
+        return self._sorted, self._by_predicate
 
     def iris(self) -> set[Iri]:
         """All IRIs occurring in any position of any triple."""
@@ -112,10 +146,11 @@ class Mapping:
     """A partial function from variables to IRIs: the solution object.
 
     Equality is extensional (same domain, same values); instances are
-    hashable so solution sets can deduplicate them.
+    hashable so solution sets can deduplicate them. The hash is computed
+    once, since joins hash every mapping many times.
     """
 
-    __slots__ = ("_dict", "_items")
+    __slots__ = ("_dict", "_items", "_hash")
 
     def __init__(self, bindings: MappingABC[Var, Iri] | Iterable[tuple[Var, Iri]] = ()):
         d = dict(bindings)
@@ -123,6 +158,7 @@ class Mapping:
         self._items: tuple[tuple[Var, Iri], ...] = tuple(
             sorted(d.items(), key=lambda kv: kv[0].name)
         )
+        self._hash = hash(self._items)
 
     @property
     def domain(self) -> frozenset[Var]:
@@ -150,7 +186,7 @@ class Mapping:
         return isinstance(other, Mapping) and self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}->{i}" for v, i in self._items)

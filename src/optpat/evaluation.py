@@ -2,8 +2,12 @@
 pattern evaluation, and a deliberately naive enumeration oracle.
 
 Results are sets of mappings (set semantics, no multiplicities). The engine
-(`evaluate`) matches basic patterns by backtracking over a per-predicate
-index; the oracle (`evaluate_oracle`) instead enumerates every total
+(`evaluate`) matches basic patterns by backtracking over the graph's
+predicate index, which each `Graph` builds once and keeps, and joins by
+hashing: mappings are grouped by domain, and for each pair of domain groups
+the right side is hashed on the shared variables and probed with the left,
+so a join costs about the size of its input and output rather than their
+product. The oracle (`evaluate_oracle`) instead enumerates every total
 assignment of leaf variables and filters, sharing no matching or join code
 with the engine so the two act as independent routes to the same contract.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .core import EMPTY_MAPPING, Graph, Iri, Mapping, Triple, Var, compatible, merge
+from .core import EMPTY_MAPPING, Graph, Iri, Mapping, Triple, Var
 from .pattern import BasicPattern, Leaf, Opt, Pattern, TriplePattern
 
 DEFAULT_ORACLE_CAP = 2_000_000
@@ -64,16 +68,15 @@ def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
 
     Backtracking search: at each step the remaining triple pattern with the
     fewest candidate graph triples under the current bindings is expanded
-    (most-constrained-first), using a per-predicate index for candidates.
+    (most-constrained-first). Candidates come from the graph's predicate
+    index (`Graph.predicate_index`), built on the first call for a graph and
+    reused by every later one.
     """
     templates = sorted(b.triples, key=lambda tp: tuple(map(str, tp.terms())))
     if not templates:
         return SolutionSet([EMPTY_MAPPING])
 
-    by_predicate: dict[Iri, list[Triple]] = {}
-    all_triples = g.sorted_triples()
-    for t in all_triples:
-        by_predicate.setdefault(t.predicate, []).append(t)
+    all_triples, by_predicate = g.predicate_index()
 
     def resolve(term, bound: dict[Var, Iri]) -> Iri | None:
         if isinstance(term, Iri):
@@ -84,7 +87,7 @@ def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
         s = resolve(tp.subject, bound)
         p = resolve(tp.predicate, bound)
         o = resolve(tp.object, bound)
-        pool = by_predicate.get(p, []) if p is not None else all_triples
+        pool = by_predicate.get(p, ()) if p is not None else all_triples
         return [
             t
             for t in pool
@@ -126,15 +129,38 @@ def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
     return SolutionSet(solutions)
 
 
+def _by_domain(mappings: Iterable[Mapping]) -> dict[frozenset[Var], list[Mapping]]:
+    groups: dict[frozenset[Var], list[Mapping]] = {}
+    for m in mappings:
+        groups.setdefault(m.domain, []).append(m)
+    return groups
+
+
 def left_outer_join(w1: SolutionSet, w2: SolutionSet) -> SolutionSet:
-    """Merge every compatible pair; keep left mappings with no partner."""
+    """Merge every compatible pair; keep left mappings with no partner.
+
+    Hash join: both sides are grouped by domain. Within one pair of domain
+    groups, two mappings are compatible exactly when they agree on the
+    shared variables, so the right group is hashed on those values and each
+    left mapping probes it. An empty right side returns `w1` itself.
+    """
+    if not w2.mappings:
+        return w1
+    right_groups = _by_domain(w2.mappings)
     out: set[Mapping] = set()
-    for m1 in w1.mappings:
-        extended = [merge(m1, m2) for m2 in w2.mappings if compatible(m1, m2)]
-        if extended:
-            out.update(extended)
-        else:
-            out.add(m1)
+    for domain, lefts in _by_domain(w1.mappings).items():
+        unmatched = set(lefts)
+        for right_domain, rights in right_groups.items():
+            shared = sorted(domain & right_domain)
+            table: dict[tuple[Iri, ...], list[Mapping]] = {}
+            for m2 in rights:
+                table.setdefault(tuple(m2[v] for v in shared), []).append(m2)
+            for m1 in lefts:
+                partners = table.get(tuple(m1[v] for v in shared))
+                if partners:
+                    unmatched.discard(m1)
+                    out.update(Mapping(m1.items() + m2.items()) for m2 in partners)
+        out.update(unmatched)
     return SolutionSet(out)
 
 

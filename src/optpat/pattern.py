@@ -395,16 +395,18 @@ def serialize_pattern(p: Pattern, pretty: bool = False) -> str:
             return _basic_text(p.basic)
         return f"({serialize_pattern(p.left)} OPT {serialize_pattern(p.right)})"
 
-    def emit(node: Pattern, depth: int) -> str:
+    lines: list[str] = []
+
+    def emit(node: Pattern, depth: int) -> None:
         pad = "  " * depth
         if isinstance(node, Leaf):
-            return pad + _basic_text(node.basic)
-        return (
-            pad + "(\n"
-            + emit(node.left, depth + 1) + "\n"
-            + pad + "  OPT\n"
-            + emit(node.right, depth + 1) + "\n"
-            + pad + ")"
-        )
+            lines.append(pad + _basic_text(node.basic))
+            return
+        lines.append(pad + "(")
+        emit(node.left, depth + 1)
+        lines.append(pad + "  OPT")
+        emit(node.right, depth + 1)
+        lines.append(pad + ")")
 
-    return emit(p, 0) + "\n"
+    emit(p, 0)
+    return "\n".join(lines) + "\n"

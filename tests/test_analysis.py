@@ -22,6 +22,7 @@ from optpat import (
     parse_pattern,
     serialize_graph,
 )
+from optpat import analysis
 from optpat.analysis import _fresh_iris
 
 from helpers import M, rand_graph, rand_pattern
@@ -79,6 +80,34 @@ class TestCheckContainedOn:
             g = rand_graph(rng, iris, 4)
             if check_contained_on(p, p2, g).status is Status.HOLDS_ON_GRAPH:
                 assert check_subsumed_on(p, p2, g).status is Status.HOLDS_ON_GRAPH
+
+
+class TestCheckEquivalentOn:
+    def test_agrees_with_both_containment_directions(self, monkeypatch):
+        engine = analysis.evaluate
+        calls = []
+
+        def counting(p, g):
+            calls.append(g)
+            return engine(p, g)
+
+        monkeypatch.setattr(analysis, "evaluate", counting)
+        rng = random.Random(62)
+        iris = [Iri(n) for n in ("a", "b", "c")]
+        violated = 0
+        for _ in range(200):
+            p, p2 = rand_pattern(rng, depth=2), rand_pattern(rng, depth=2)
+            g = rand_graph(rng, iris, 5)
+            forward = check_contained_on(p, p2, g)
+            expected = (
+                forward if forward.status is Status.VIOLATED else check_contained_on(p2, p, g)
+            )
+            calls.clear()
+            got = check_equivalent_on(p, p2, g)
+            assert got == expected
+            assert calls == [g, g]
+            violated += got.status is Status.VIOLATED
+        assert 0 < violated < 200
 
 
 class TestEnumerateGraphs:

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from optpat import parse_graph, parse_pattern, verify_witness
+from optpat import cli, parse_graph, parse_pattern, verify_witness
 from optpat.cli import main
 from optpat.reduction import WitnessPair
 
@@ -338,3 +338,29 @@ class TestPipeline:
         assert manifest["verified"] is None
         assert manifest["periodic_tiling"] is None
         assert manifest["untileable_certificate"] == 2
+
+
+class TestInternalFailure:
+    @pytest.fixture()
+    def broken_eval(self, monkeypatch, tmp_path):
+        def boom(p, g):
+            raise RuntimeError("engine\nfailure")
+
+        monkeypatch.setattr(cli, "evaluate", boom)
+        (tmp_path / "g.nt").write_text("a p b .\n")
+        (tmp_path / "p.sp").write_text("{ ?x p ?y }")
+        return ["eval", str(tmp_path / "g.nt"), str(tmp_path / "p.sp")]
+
+    def test_exits_2_with_one_line(self, runner, broken_eval):
+        result = runner.invoke(main, broken_eval)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: internal: RuntimeError: engine failure\n"
+        assert "Traceback" not in result.output
+
+    def test_exits_2_without_standalone_mode(self, broken_eval, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main.main(broken_eval, standalone_mode=False)
+        assert caught.value.code == 2
+        assert capsys.readouterr().err == "error: internal: RuntimeError: engine failure\n"
+

@@ -1,5 +1,6 @@
 """Evaluation semantics: matching, joins, recursion, and the oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from optpat import (
     Graph,
     Iri,
     Leaf,
+    Mapping,
     OracleBudgetError,
     SolutionSet,
     Var,
@@ -84,6 +86,35 @@ class TestLeftOuterJoin:
         rng = random.Random(51)
         for _ in range(200):
             w1, w2 = rand_solution_set(rng), rand_solution_set(rng)
+            assert left_outer_join(w1, w2).mappings == frozenset(join_reference(w1, w2))
+
+    def test_matches_reference_formula_exhaustively_on_two_variables(self):
+        # every pair of solution sets of size <= 2 drawn from the nine
+        # mappings on ?x ?y over a b, the empty mapping and mixed domains included
+        xs = [Var("x"), Var("y")]
+        iris = [Iri("a"), Iri("b")]
+        mappings = [Mapping()]
+        mappings += [Mapping({v: i}) for v in xs for i in iris]
+        mappings += [Mapping({xs[0]: i, xs[1]: j}) for i in iris for j in iris]
+        sets = [
+            SolutionSet(combo)
+            for size in range(3)
+            for combo in itertools.combinations(mappings, size)
+        ]
+        assert len(sets) == 46
+        for w1 in sets:
+            for w2 in sets:
+                assert left_outer_join(w1, w2).mappings == frozenset(join_reference(w1, w2))
+
+    def test_matches_reference_formula_on_large_random_sets(self):
+        # up to 40 rows over three variables and two IRIs: hash buckets hold
+        # several rows and several domain groups meet on each side
+        rng = random.Random(52)
+        variables = (Var("x"), Var("y"), Var("z"))
+        iris = (Iri("a"), Iri("b"))
+        for _ in range(150):
+            w1 = rand_solution_set(rng, variables, iris, max_size=40)
+            w2 = rand_solution_set(rng, variables, iris, max_size=40)
             assert left_outer_join(w1, w2).mappings == frozenset(join_reference(w1, w2))
 
 

@@ -27,7 +27,7 @@ from optpat import (
 )
 from optpat.pattern import node_at, occurrences
 from optpat.reduction import tile_iri_map
-from optpat.tiling import PeriodicTiling
+from optpat.tiling import PeriodicTiling, replicate
 
 from helpers import (
     CHECKERBOARD_JSON,
@@ -219,6 +219,17 @@ class TestEvaluationOnWitness:
             for m in solutions:
                 assert m.get(Var("b")) == Iri("bNotSub")
                 assert not subsumed_mapping(pair.mapping, m)
+
+    def test_six_by_six_torus(self):
+        # The checkerboard replicated to a 6x6 torus: q * (p*q)^2 solutions.
+        pt = replicate(find_periodic(CHECKERBOARD, 2, 2), 3, 3)
+        pair = build_witness(CHECKERBOARD, pt)
+        chain = build_p_prime(CHECKERBOARD)
+        solutions = evaluate(chain, pair.graph)
+        assert len(solutions) == 6 * 36 * 36 == 7776
+        for m in solutions:
+            assert m.get(Var("b")) in (Iri("bSub"), Iri("bNotSub"))
+        assert verify_witness(build_p(CHECKERBOARD), chain, pair)
 
 
 class TestOracleCrossCheck:
