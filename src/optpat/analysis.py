@@ -11,6 +11,7 @@ budget proves nothing beyond the searched space.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -120,16 +121,6 @@ def check_equivalent_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     return _first_missing(theirs, mine, g)
 
 
-def _dedupe(vocabulary: Sequence[Iri]) -> list[Iri]:
-    seen: set[Iri] = set()
-    out: list[Iri] = []
-    for iri in vocabulary:
-        if iri not in seen:
-            seen.add(iri)
-            out.append(iri)
-    return out
-
-
 def _all_triples(vocabulary: Sequence[Iri]) -> list[Triple]:
     return [Triple(s, p, o) for s in vocabulary for p in vocabulary for o in vocabulary]
 
@@ -138,35 +129,86 @@ def enumerate_graphs(vocabulary: Sequence[Iri], max_triples: int) -> Iterator[Gr
     """Every graph with at most `max_triples` triples over the vocabulary,
     exactly once, in nondecreasing triple count and a fixed deterministic
     order (combinations of the vocabulary-ordered triple list)."""
-    vocab = _dedupe(vocabulary)
+    vocab = list(dict.fromkeys(vocabulary))
     if not vocab:
         raise ValueError("vocabulary must be non-empty")
     triples = _all_triples(vocab)
-    for count in range(max_triples + 1):
-        if count > len(triples):
-            break
-        for combo in itertools.combinations(triples, count):
-            yield Graph(combo)
+    step = _orbit_table(len(vocab), 0)
+    for count in range(min(max_triples, len(triples)) + 1):
+        for combo in _orderly_walk(step, [frozenset()], count):
+            yield Graph(triples[i] for i in combo)
 
 
 def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
     prefix = "f"
-    pattern = re.compile(re.escape(prefix) + r"\d+\Z")
-    while any(pattern.match(name) for name in avoid):
+    while any(re.fullmatch(re.escape(prefix) + r"\d+", name) for name in avoid):
         prefix += "f"
-        pattern = re.compile(re.escape(prefix) + r"\d+\Z")
     return [Iri(f"{prefix}{i}") for i in range(1, count + 1)]
 
 
-def _fresh_canonical(sorted_triples: list[Triple], fresh: list[Iri], fresh_set: frozenset[Iri]) -> bool:
-    # Keep one representative per renaming orbit: fresh IRIs must first occur
-    # (scanning canonical triple order, s/p/o within a triple) in list order.
-    seen: list[Iri] = []
-    for t in sorted_triples:
-        for term in (t.subject, t.predicate, t.object):
-            if term in fresh_set and term not in seen:
-                seen.append(term)
-    return seen == fresh[: len(seen)]
+def _orbit_table(constants: int, fresh: int) -> list[list[int]]:
+    """step[n][i]: fresh IRIs seen once triple i joins a prefix that has seen
+    the first n of them, or -1 if triple i names one out of order. Triples
+    are indexed as in `_all_triples` over `constants` constants followed by
+    `fresh` fresh IRIs, and scanned subject, predicate, object."""
+    terms = range(constants + fresh)
+    ids = [[v - constants for v in t if v >= constants] for t in itertools.product(terms, repeat=3)]
+
+    def seen_after(n: int, fresh_ids: list[int]) -> int:
+        for k in fresh_ids:
+            if k > n:
+                return -1
+            n += k == n
+        return n
+
+    return [[seen_after(n, f) for f in ids] for n in range(fresh + 1)]
+
+
+def _orderly_walk(
+    step: list[list[int]], required_sets: Sequence[frozenset[int]], count: int
+) -> Iterator[tuple[int, ...]]:
+    """Index tuples i1 < ... < i_count, in lexicographic order, of the
+    triple sets that contain one of the `required_sets` (of indices) and
+    name fresh IRIs first in list order under `step` (see `_orbit_table`).
+
+    Adding a required set R to the combinations of the other triples keeps
+    their lexicographic order, and R's triples, which must name no fresh
+    IRI, leave first occurrences alone; several sets' streams are merged.
+    """
+
+    def walk(required: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        # Combinations of the other triples, each joined by `required`. A prefix that
+        # names a fresh IRI out of order is not extended: its first occurrences are fixed.
+        ids = sorted(required)
+        items = [i for i in range(len(step[0])) if i not in required]
+        k = count - len(ids)
+        if k == 0:
+            yield tuple(ids)
+            return
+        chosen: list[int] = []
+        frames = [(0, iter(range(len(items) - k + 1)))]  # one per chosen slot
+        while frames:
+            n, positions = frames[-1]
+            for j in positions:
+                after = step[n][items[j]]
+                if after < 0:
+                    continue
+                if len(chosen) + 1 == k:
+                    yield tuple(sorted((*chosen, items[j], *ids)))
+                else:
+                    chosen.append(items[j])
+                    frames.append((after, iter(range(j + 1, len(items) - k + len(chosen) + 1))))
+                    break
+            else:
+                frames.pop()
+                if chosen:
+                    chosen.pop()
+
+    last = None
+    for combo in heapq.merge(*map(walk, {r for r in required_sets if len(r) <= count})):
+        if combo != last:
+            yield combo
+        last = combo
 
 
 def _candidate_stream(
@@ -174,42 +216,29 @@ def _candidate_stream(
     p2: Pattern,
     budget: SearchBudget,
     required_sets: Sequence[frozenset[Triple]],
+    start_position: tuple[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, int], Graph]]:
-    """Candidate graphs in (triple count, ordinal) order.
+    """Candidate graphs in (triple count, ordinal) order, lazily.
 
     Only graphs containing at least one of the `required_sets` are emitted:
     a violation needs a nonempty solution set on the left pattern, which in
     turn needs that pattern's leftmost-leaf ground triples present, so the
     skipped graphs can never be counterexamples. Graphs differing from an
     earlier candidate only by a permutation of fresh IRIs are skipped too;
-    pattern semantics cannot tell such graphs apart.
+    pattern semantics cannot tell such graphs apart. Positions at or before
+    `start_position` are counted but not built; lower levels are not walked.
     """
     constants = sorted(pattern_constants(p) | pattern_constants(p2))
     fresh = _fresh_iris(budget.max_fresh_iris, {c.name for c in constants})
-    vocabulary = constants + fresh
-    triples = _all_triples(vocabulary)
+    triples = _all_triples(constants + fresh)
+    step = _orbit_table(len(constants), len(fresh))
     index = {t: i for i, t in enumerate(triples)}
-    fresh_set = frozenset(fresh)
-    requirements = [frozenset(r) for r in required_sets]
-
-    for count in range(budget.max_triples + 1):
-        batch: set[frozenset[Triple]] = set()
-        for required in requirements:
-            extra = count - len(required)
-            if extra < 0:
-                continue
-            others = [t for t in triples if t not in required]
-            if extra > len(others):
-                continue
-            for combo in itertools.combinations(others, extra):
-                batch.add(required.union(combo))
-        ordinal = 0
-        for gset in sorted(batch, key=lambda s: sorted(index[t] for t in s)):
-            ordered = sorted(gset, key=index.__getitem__)
-            if not _fresh_canonical(ordered, fresh, fresh_set):
-                continue
-            yield (count, ordinal), Graph(gset)
-            ordinal += 1
+    required = [frozenset(index[t] for t in r) for r in required_sets]
+    first = 0 if start_position is None else max(start_position[0], 0)
+    for count in range(first, budget.max_triples + 1):
+        for ordinal, combo in enumerate(_orderly_walk(step, required, count)):
+            if start_position is None or (count, ordinal) > start_position:
+                yield (count, ordinal), Graph(triples[i] for i in combo)
 
 
 def default_search_budget(
@@ -234,30 +263,15 @@ def _search(
     required_sets: Sequence[frozenset[Triple]],
     start_position: tuple[int, int] | None,
 ) -> Verdict:
-    examined = 0
-    last: tuple[int, int] | None = None
-    for position, g in _candidate_stream(p, p2, budget, required_sets):
-        if start_position is not None and position <= start_position:
-            continue
-        if examined >= budget.max_candidates:
-            break
+    examined, position, witness = 0, None, None
+    stream = _candidate_stream(p, p2, budget, required_sets, start_position)
+    for position, g in itertools.islice(stream, budget.max_candidates):
         examined += 1
-        last = position
-        verdict = check(p, p2, g)
-        if verdict.status is Status.VIOLATED:
-            return Verdict(
-                Status.VIOLATED,
-                witness=verdict.witness,
-                candidates_examined=examined,
-                budget=budget,
-                position=position,
-            )
-    return Verdict(
-        Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET,
-        candidates_examined=examined,
-        budget=budget,
-        position=last,
-    )
+        witness = check(p, p2, g).witness
+        if witness is not None:
+            break
+    status = Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET if witness is None else Status.VIOLATED
+    return Verdict(status, witness, candidates_examined=examined, budget=budget, position=position)
 
 
 def find_subsumption_counterexample(

@@ -2,8 +2,7 @@
 
 Subcommands: eval, classify, subsumes, contains, equiv, reduce, witness,
 tile, pipeline. Global flags (before the subcommand): --json for machine
-output, --out for the artifact directory, --seed reserved for randomized
-tooling (every shipped command is deterministic).
+output, --out for the artifact directory. Every command is deterministic.
 
 Exit codes: 0 success / property holds / nothing found within budget,
 1 violated or failed verification, 2 parse/IO/usage errors and internal
@@ -16,16 +15,15 @@ import errno
 import hashlib
 import json
 import os
-import random
 import sys
+from typing import Callable, TypeVar
 
 import click
 
 from . import analysis, reduction, tiling
-from .core import Graph, Mapping, parse_graph, serialize_graph
+from .core import parse_graph, serialize_graph
 from .evaluation import evaluate
 from .pattern import (
-    Pattern,
     is_weakly_well_designed,
     is_well_designed,
     opt_occurrences,
@@ -49,25 +47,13 @@ def _read_text(path: str) -> str:
         raise AssertionError  # unreachable
 
 
-def _load_graph(path: str) -> Graph:
+T = TypeVar("T")
+
+
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Parse a file; a parse error exits 2 with the path in the message."""
     try:
-        return parse_graph(_read_text(path))
-    except ValueError as exc:
-        _fail(f"{path}: {exc}")
-        raise AssertionError
-
-
-def _load_pattern(path: str) -> Pattern:
-    try:
-        return parse_pattern(_read_text(path))
-    except ValueError as exc:
-        _fail(f"{path}: {exc}")
-        raise AssertionError
-
-
-def _load_instance(path: str) -> tiling.TilingInstance:
-    try:
-        return tiling.parse_instance(_read_text(path))
+        return parse(_read_text(path))
     except ValueError as exc:
         _fail(f"{path}: {exc}")
         raise AssertionError
@@ -115,12 +101,9 @@ class _Group(click.Group):
     show_default=True,
     help="Directory for written artifacts.",
 )
-@click.option("--seed", type=int, default=None, help="Seed for randomized tooling.")
 @click.pass_context
-def main(ctx: click.Context, as_json: bool, out_dir: str, seed: int | None) -> None:
+def main(ctx: click.Context, as_json: bool, out_dir: str) -> None:
     """Workbench for the OPT fragment of SPARQL."""
-    if seed is not None:
-        random.seed(seed)
     ctx.obj = {"json": as_json, "out": out_dir}
 
 
@@ -130,8 +113,8 @@ def main(ctx: click.Context, as_json: bool, out_dir: str, seed: int | None) -> N
 @click.pass_context
 def cmd_eval(ctx: click.Context, graph_path: str, pattern_path: str) -> None:
     """Evaluate a pattern file over a graph file; one solution per row."""
-    g = _load_graph(graph_path)
-    p = _load_pattern(pattern_path)
+    g = _load(graph_path, parse_graph)
+    p = _load(pattern_path, parse_pattern)
     rows = evaluate(p, g).to_jsonable()
     if ctx.obj["json"]:
         click.echo(json.dumps(rows, indent=2, sort_keys=True))
@@ -145,7 +128,7 @@ def cmd_eval(ctx: click.Context, graph_path: str, pattern_path: str) -> None:
 @click.pass_context
 def cmd_classify(ctx: click.Context, pattern_path: str) -> None:
     """Report the well-designedness class of a pattern file."""
-    p = _load_pattern(pattern_path)
+    p = _load(pattern_path, parse_pattern)
     report = {
         "well_designed": is_well_designed(p),
         "weakly_well_designed": is_weakly_well_designed(p),
@@ -180,10 +163,10 @@ def _run_relation_command(
     check,
     find,
 ) -> None:
-    p = _load_pattern(p_path)
-    p2 = _load_pattern(p2_path)
+    p = _load(p_path, parse_pattern)
+    p2 = _load(p2_path, parse_pattern)
     if on_graph is not None:
-        verdict = check(p, p2, _load_graph(on_graph))
+        verdict = check(p, p2, _load(on_graph, parse_graph))
     else:
         fresh = max_fresh if max_fresh is not None else len(pattern_vars(p) | pattern_vars(p2))
         try:
@@ -286,7 +269,7 @@ def _emit_reduction(inst: tiling.TilingInstance) -> dict[str, str]:
 @click.pass_context
 def cmd_reduce(ctx: click.Context, instance_path: str) -> None:
     """Compile an instance to the pattern pair P.sp / Pprime.sp plus manifest."""
-    inst = _load_instance(instance_path)
+    inst = _load(instance_path, tiling.parse_instance)
     files = _emit_reduction(inst)
     manifest = _reduction_manifest(inst, files)
     files["manifest.json"] = _dumps(manifest)
@@ -344,7 +327,7 @@ def _witness_files(
 @click.pass_context
 def cmd_witness(ctx: click.Context, instance_path: str, tiling_path: str | None, max_period: int) -> None:
     """Build and verify the non-subsumption witness for an instance."""
-    inst = _load_instance(instance_path)
+    inst = _load(instance_path, tiling.parse_instance)
     pt = _obtain_tiling(inst, tiling_path, max_period)
     if pt is None:
         click.echo(f"no periodic tiling with p <= {max_period}, q <= {max_period}", err=True)
@@ -392,7 +375,7 @@ def cmd_tile(
     """Search for a periodic tiling, or certify untileability."""
     if mode_periodic == mode_certify:
         raise click.UsageError("pass exactly one of --find-periodic / --certify-untileable")
-    inst = _load_instance(instance_path)
+    inst = _load(instance_path, tiling.parse_instance)
     if mode_periodic:
         pt = tiling.find_periodic(inst, max_period, max_period)
         if ctx.obj["json"]:
@@ -425,7 +408,7 @@ def cmd_tile(
 @click.pass_context
 def cmd_pipeline(ctx: click.Context, instance_path: str, max_period: int, max_n: int) -> None:
     """Chain reduce, tiling search, witness construction, and verification."""
-    inst = _load_instance(instance_path)
+    inst = _load(instance_path, tiling.parse_instance)
     files = _emit_reduction(inst)
     pt = tiling.find_periodic(inst, max_period, max_period)
     verified: bool | None = None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping as MappingABC
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -124,7 +125,8 @@ class Graph:
         """All triples in sorted order, and the triples of each predicate in
         sorted order. Built once per graph; callers must not mutate the dict."""
         if self._sorted is None:
-            ordered = tuple(sorted(self.triples))
+            names = attrgetter("subject.name", "predicate.name", "object.name")
+            ordered = tuple(sorted(self.triples, key=names))  # the dataclass order, faster
             groups: dict[Iri, list[Triple]] = {}
             for t in ordered:
                 groups.setdefault(t.predicate, []).append(t)

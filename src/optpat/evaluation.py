@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .core import EMPTY_MAPPING, Graph, Iri, Mapping, Triple, Var
+from .core import EMPTY_MAPPING, Graph, Iri, Mapping, Var
 from .pattern import BasicPattern, Leaf, Opt, Pattern, TriplePattern
 
 DEFAULT_ORACLE_CAP = 2_000_000
@@ -66,66 +66,61 @@ class SolutionSet:
 def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
     """All mappings with domain exactly vars(b) that send b into g.
 
-    Backtracking search: at each step the remaining triple pattern with the
-    fewest candidate graph triples under the current bindings is expanded
-    (most-constrained-first). Candidates come from the graph's predicate
-    index (`Graph.predicate_index`), built on the first call for a graph and
-    reused by every later one.
+    Backtracking search over an explicit stack: at each step the remaining
+    triple pattern with the fewest candidate graph triples under the current
+    bindings is expanded (most-constrained-first), and a branch is dropped
+    as soon as some remaining pattern has no candidate. Candidates come from
+    the graph's predicate index (`Graph.predicate_index`), built on the
+    first call for a graph and reused by every later one.
     """
-    templates = sorted(b.triples, key=lambda tp: tuple(map(str, tp.terms())))
+    templates = b.sorted_triples()
     if not templates:
         return SolutionSet([EMPTY_MAPPING])
 
     all_triples, by_predicate = g.predicate_index()
-
-    def resolve(term, bound: dict[Var, Iri]) -> Iri | None:
-        if isinstance(term, Iri):
-            return term
-        return bound.get(term)
-
-    def candidates(tp: TriplePattern, bound: dict[Var, Iri]) -> list[Triple]:
-        s = resolve(tp.subject, bound)
-        p = resolve(tp.predicate, bound)
-        o = resolve(tp.object, bound)
-        pool = by_predicate.get(p, ()) if p is not None else all_triples
-        return [
-            t
-            for t in pool
-            if (s is None or t.subject == s)
-            and (o is None or t.object == o)
-            and (p is None or t.predicate == p)
-        ]
-
-    def unify(tp: TriplePattern, t: Triple, bound: dict[Var, Iri]) -> dict[Var, Iri] | None:
-        out = dict(bound)
-        for term, value in zip(tp.terms(), (t.subject, t.predicate, t.object)):
-            if isinstance(term, Iri):
-                if term != value:
-                    return None
-            else:
-                seen = out.get(term)
-                if seen is None:
-                    out[term] = value
-                elif seen != value:
-                    return None
-        return out
-
     solutions: set[Mapping] = set()
-
-    def search(remaining: list[TriplePattern], bound: dict[Var, Iri]) -> None:
-        if not remaining:
-            solutions.add(Mapping(bound))
-            return
-        scored = [(candidates(tp, bound), i) for i, tp in enumerate(remaining)]
-        cands, idx = min(scored, key=lambda pair: len(pair[0]))
-        tp = remaining[idx]
-        rest = remaining[:idx] + remaining[idx + 1 :]
-        for t in cands:
-            extended = unify(tp, t, bound)
-            if extended is not None:
-                search(rest, extended)
-
-    search(templates, {})
+    stack: list[tuple[tuple[TriplePattern, ...], dict[Var, Iri]]] = [(templates, {})]
+    while stack:
+        remaining, bound = stack.pop()
+        for i, tp in enumerate(remaining):
+            # Each term resolved under the bindings; a Var left is unbound.
+            s, p, o = tp.subject, tp.predicate, tp.object
+            if bound:
+                if type(s) is Var:
+                    s = bound.get(s, s)
+                if type(p) is Var:
+                    p = bound.get(p, p)
+                if type(o) is Var:
+                    o = bound.get(o, o)
+            pool = all_triples if type(p) is Var else by_predicate.get(p, ())
+            if type(s) is Var:
+                cands = pool if type(o) is Var else [t for t in pool if t.object == o]
+            elif type(o) is Var:
+                cands = [t for t in pool if t.subject == s]
+            else:
+                cands = [t for t in pool if t.subject == s and t.object == o]
+            if not cands:
+                break
+            if i == 0 or len(cands) < len(best):
+                best, at, terms = cands, i, (s, p, o)
+        else:
+            rest = remaining[:at] + remaining[at + 1 :]
+            # Candidates agree with every resolved term; only unbound
+            # variables are left, and one repeated in the pattern must agree.
+            free = [(k, term) for k, term in enumerate(terms) if type(term) is Var]
+            for t in best:
+                values = (t.subject, t.predicate, t.object)
+                extended = dict(bound)
+                for k, var in free:
+                    value = values[k]
+                    seen = extended.setdefault(var, value)
+                    if seen is not value and seen != value:
+                        break
+                else:
+                    if rest:
+                        stack.append((rest, extended))
+                    else:
+                        solutions.add(Mapping(extended))
     return SolutionSet(solutions)
 
 

@@ -32,10 +32,11 @@ class TriplePattern:
 class BasicPattern:
     """A possibly empty, duplicate-free set of triple patterns."""
 
-    __slots__ = ("triples",)
+    __slots__ = ("triples", "_sorted")
 
     def __init__(self, triples: Iterable[TriplePattern] = ()):
         self.triples: frozenset[TriplePattern] = frozenset(triples)
+        self._sorted: tuple[TriplePattern, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -49,8 +50,11 @@ class BasicPattern:
     def __repr__(self) -> str:
         return f"BasicPattern({sorted(map(str, self.triples))})"
 
-    def sorted_triples(self) -> list[TriplePattern]:
-        return sorted(self.triples, key=lambda tp: tuple(map(str, tp.terms())))
+    def sorted_triples(self) -> tuple[TriplePattern, ...]:
+        """The triple patterns in the order of their text; computed once."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.triples, key=lambda tp: tuple(map(str, tp.terms()))))
+        return self._sorted
 
     @property
     def vars(self) -> frozenset[Var]:

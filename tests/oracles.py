@@ -2,13 +2,33 @@
 
 These are deliberately literal: the classifiers enumerate every
 (OPT occurrence, variable, occurrence) combination with their own path
-machinery, and the join applies the two-clause set-builder definition over
-plain dicts. Nothing here reuses the library's classifier or join code.
+machinery, the join applies the two-clause set-builder definition over
+plain dicts, and the candidate stream materialises each triple-count level,
+sorts it and filters fresh-IRI orbits graph by graph. Nothing here reuses
+the library's classifier, join or candidate-generation code.
 """
 
 from __future__ import annotations
 
-from optpat import Leaf, Mapping, Opt, Pattern, SolutionSet, Var
+import itertools
+import re
+from typing import Callable, Iterator, Sequence
+
+from optpat import (
+    Graph,
+    Iri,
+    Leaf,
+    Mapping,
+    Opt,
+    Pattern,
+    SearchBudget,
+    SolutionSet,
+    Status,
+    Triple,
+    Var,
+    Verdict,
+)
+from optpat.pattern import pattern_constants
 
 
 def _occurrences(p: Pattern) -> list[tuple[tuple[str, ...], Pattern]]:
@@ -95,3 +115,107 @@ def join_reference(w1: SolutionSet, w2: SolutionSet) -> set[Mapping]:
         if all(not compat(d1, d2) for d2 in rows2):
             out.add(Mapping(d1))
     return out
+
+
+def _all_triples(vocabulary: Sequence[Iri]) -> list[Triple]:
+    return [Triple(s, p, o) for s in vocabulary for p in vocabulary for o in vocabulary]
+
+
+def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
+    prefix = "f"
+    pattern = re.compile(re.escape(prefix) + r"\d+\Z")
+    while any(pattern.match(name) for name in avoid):
+        prefix += "f"
+        pattern = re.compile(re.escape(prefix) + r"\d+\Z")
+    return [Iri(f"{prefix}{i}") for i in range(1, count + 1)]
+
+
+def _fresh_canonical(sorted_triples: list[Triple], fresh: list[Iri], fresh_set: frozenset[Iri]) -> bool:
+    # Keep one representative per renaming orbit: fresh IRIs must first occur
+    # (scanning canonical triple order, s/p/o within a triple) in list order.
+    seen: list[Iri] = []
+    for t in sorted_triples:
+        for term in (t.subject, t.predicate, t.object):
+            if term in fresh_set and term not in seen:
+                seen.append(term)
+    return seen == fresh[: len(seen)]
+
+
+def candidate_stream_reference(
+    p: Pattern,
+    p2: Pattern,
+    budget: SearchBudget,
+    required_sets: Sequence[frozenset[Triple]],
+) -> Iterator[tuple[tuple[int, int], Graph]]:
+    """Candidate graphs in (triple count, ordinal) order.
+
+    Only graphs containing at least one of the `required_sets` are emitted:
+    a violation needs a nonempty solution set on the left pattern, which in
+    turn needs that pattern's leftmost-leaf ground triples present, so the
+    skipped graphs can never be counterexamples. Graphs differing from an
+    earlier candidate only by a permutation of fresh IRIs are skipped too;
+    pattern semantics cannot tell such graphs apart.
+    """
+    constants = sorted(pattern_constants(p) | pattern_constants(p2))
+    fresh = _fresh_iris(budget.max_fresh_iris, {c.name for c in constants})
+    vocabulary = constants + fresh
+    triples = _all_triples(vocabulary)
+    index = {t: i for i, t in enumerate(triples)}
+    fresh_set = frozenset(fresh)
+    requirements = [frozenset(r) for r in required_sets]
+
+    for count in range(budget.max_triples + 1):
+        batch: set[frozenset[Triple]] = set()
+        for required in requirements:
+            extra = count - len(required)
+            if extra < 0:
+                continue
+            others = [t for t in triples if t not in required]
+            if extra > len(others):
+                continue
+            for combo in itertools.combinations(others, extra):
+                batch.add(required.union(combo))
+        ordinal = 0
+        for gset in sorted(batch, key=lambda s: sorted(index[t] for t in s)):
+            ordered = sorted(gset, key=index.__getitem__)
+            if not _fresh_canonical(ordered, fresh, fresh_set):
+                continue
+            yield (count, ordinal), Graph(gset)
+            ordinal += 1
+
+
+def search_reference(
+    p: Pattern,
+    p2: Pattern,
+    budget: SearchBudget,
+    check: Callable[[Pattern, Pattern, Graph], Verdict],
+    required_sets: Sequence[frozenset[Triple]],
+    start_position: tuple[int, int] | None,
+) -> Verdict:
+    """Bounded search over `candidate_stream_reference`: skip positions up
+    to `start_position`, check at most `max_candidates`, stop at the first
+    violation."""
+    examined = 0
+    last: tuple[int, int] | None = None
+    for position, g in candidate_stream_reference(p, p2, budget, required_sets):
+        if start_position is not None and position <= start_position:
+            continue
+        if examined >= budget.max_candidates:
+            break
+        examined += 1
+        last = position
+        verdict = check(p, p2, g)
+        if verdict.status is Status.VIOLATED:
+            return Verdict(
+                Status.VIOLATED,
+                witness=verdict.witness,
+                candidates_examined=examined,
+                budget=budget,
+                position=position,
+            )
+    return Verdict(
+        Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET,
+        candidates_examined=examined,
+        budget=budget,
+        position=last,
+    )

@@ -22,10 +22,12 @@ from optpat import (
     parse_pattern,
     serialize_graph,
 )
-from optpat import analysis
+from optpat import BasicPattern, Leaf, Opt, TriplePattern, analysis
 from optpat.analysis import _fresh_iris
+from optpat.pattern import leftmost_basic
 
 from helpers import M, rand_graph, rand_pattern
+from oracles import candidate_stream_reference, search_reference
 
 
 class TestCheckSubsumedOn:
@@ -143,6 +145,69 @@ class TestEnumerateGraphs:
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_graphs([], 1))
+
+
+def _stream_cases(seed: int, count: int):
+    """Seeded (p, p2, budget, required sets, check) tuples covering both
+    required-set shapes: one set (subsumes, contains) and equiv's two, with
+    leftmost leaves that often carry ground triples."""
+    rng = random.Random(seed)
+    consts = (Iri("a"), Iri("b"), Iri("c"))
+    for _ in range(count):
+        p, p2 = (rand_pattern(rng, depth=2, consts=consts) for _ in range(2))
+        if rng.random() < 0.6:
+            ground = BasicPattern(
+                TriplePattern(*(rng.choice(consts[:2]) for _ in range(3)))
+                for _ in range(rng.randint(1, 2))
+            )
+            p = Opt(Leaf(ground), p)
+        budget = SearchBudget(rng.randint(0, 2), rng.randint(0, 3), max_candidates=10**6)
+        required = [leftmost_basic(p).ground_triples()]
+        if rng.random() < 0.5:
+            required.append(leftmost_basic(p2).ground_triples())
+            check = check_equivalent_on
+        else:
+            check = rng.choice((check_subsumed_on, check_contained_on))
+        yield p, p2, budget, required, check
+
+
+class TestCandidateStream:
+    """The lazy orderly stream against `oracles.candidate_stream_reference`,
+    which builds each level in full, sorts it and filters orbits."""
+
+    def test_matches_reference_sequence(self):
+        nonempty_required = 0
+        for p, p2, budget, required, _ in _stream_cases(70, 60):
+            expected = list(candidate_stream_reference(p, p2, budget, required))
+            assert list(analysis._candidate_stream(p, p2, budget, required)) == expected
+            nonempty_required += all(required)
+        assert nonempty_required > 10
+
+    def test_resume_and_cut_match_reference(self):
+        rng = random.Random(71)
+        for p, p2, budget, required, check in _stream_cases(72, 25):
+            reference = list(candidate_stream_reference(p, p2, budget, required))
+            starts = [None, (budget.max_triples, 10**9), (-1, 0)]
+            starts += rng.sample([pos for pos, _ in reference], min(3, len(reference)))
+            for start in starts:
+                expected = [item for item in reference if start is None or item[0] > start]
+                got = list(analysis._candidate_stream(p, p2, budget, required, start))
+                assert got == expected
+                cut = SearchBudget(budget.max_triples, budget.max_fresh_iris, rng.randint(0, 12))
+                assert analysis._search(p, p2, cut, check, required, start) == search_reference(
+                    p, p2, cut, check, required, start
+                )
+
+    def test_resume_does_not_build_earlier_levels(self):
+        # 4 constants and 3 fresh IRIs give 343 triples; the 3-triple level has
+        # about 6.7 M sets, so this only passes if levels are generated lazily.
+        p = parse_pattern("({ ?x a ?y } OPT { ?y b ?z . ?z c d })")
+        verdict = find_subsumption_counterexample(
+            p, p, SearchBudget(3, 3, max_candidates=5), start_position=(2, 10**9)
+        )
+        assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
+        assert verdict.candidates_examined == 5
+        assert verdict.position == (3, 4)
 
 
 class TestFindSubsumption:

@@ -110,10 +110,10 @@ class TestClassify:
         (tmp_path / "p.sp").write_text("{ a p }")
         assert runner.invoke(main, ["classify", str(tmp_path / "p.sp")]).exit_code == 2
 
-    def test_seed_flag_accepted(self, runner, tmp_path):
+    def test_seed_flag_is_usage_error(self, runner, tmp_path):
         (tmp_path / "p.sp").write_text("{ ?x p ?y }")
         result = runner.invoke(main, ["--seed", "7", "classify", str(tmp_path / "p.sp")])
-        assert result.exit_code == 0
+        assert result.exit_code == 2
 
 
 class TestSubsumes:
@@ -179,9 +179,16 @@ class TestContainsAndEquiv:
         assert (tmp_path / "out" / "counterexample.nt").read_text() == ""
 
     def test_equiv_reflexive(self, runner, tmp_path):
+        # The default budget's full stream: its length and last position pin
+        # the candidate order and both prunings.
         (tmp_path / "p.sp").write_text("({ ?x p ?y } OPT { ?y q ?z })")
-        result = runner.invoke(main, ["equiv", str(tmp_path / "p.sp"), str(tmp_path / "p.sp")])
+        args = ["equiv", str(tmp_path / "p.sp"), str(tmp_path / "p.sp")]
+        result = runner.invoke(main, args)
         assert result.exit_code == 0
+        assert "candidates_examined: 81649" in result.stdout.splitlines()
+        result = runner.invoke(main, ["--json", *args])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["position"] == [3, 79779]
 
     def test_equiv_json_verdict_shape(self, runner, tmp_path):
         (tmp_path / "p.sp").write_text("({ } OPT { ?x p ?y })")
