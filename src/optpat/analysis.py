@@ -11,6 +11,7 @@ budget proves nothing beyond the searched space.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import re
@@ -19,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .core import Graph, Iri, Mapping, Triple, subsumed_mapping
 from .evaluation import SolutionSet, evaluate
-from .pattern import Pattern, leftmost_basic, pattern_constants, pattern_vars
+from .pattern import Opt, Pattern, leftmost_basic, pattern_constants, pattern_vars
 
 
 class Status(enum.Enum):
@@ -88,7 +89,7 @@ def check_subsumed_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     mine = evaluate(p, g)
     if not mine.mappings:
         return Verdict(Status.HOLDS_ON_GRAPH)
-    theirs = evaluate(p2, g).sorted()
+    theirs = (mine if p2 is p else evaluate(p2, g)).sorted()
     for m in mine.sorted():
         if not any(subsumed_mapping(m, m2) for m2 in theirs):
             return Verdict(Status.VIOLATED, witness=(g, m))
@@ -108,21 +109,24 @@ def check_contained_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     mine = evaluate(p, g)
     if not mine.mappings:
         return Verdict(Status.HOLDS_ON_GRAPH)
-    return _first_missing(mine, evaluate(p2, g), g)
+    return _first_missing(mine, mine if p2 is p else evaluate(p2, g), g)
 
 
 def check_equivalent_on(p: Pattern, p2: Pattern, g: Graph) -> Verdict:
     """Containment in both directions on one graph, forward first; each
-    side is evaluated once."""
-    mine, theirs = evaluate(p, g), evaluate(p2, g)
+    side is evaluated once, and one side when `p2 is p`."""
+    mine = evaluate(p, g)
+    theirs = mine if p2 is p else evaluate(p2, g)
     forward = _first_missing(mine, theirs, g)
     if forward.status is Status.VIOLATED:
         return forward
     return _first_missing(theirs, mine, g)
 
 
-def _all_triples(vocabulary: Sequence[Iri]) -> list[Triple]:
-    return [Triple(s, p, o) for s in vocabulary for p in vocabulary for o in vocabulary]
+def _triple_builder(vocab: Sequence[Iri]) -> Callable[[int], Triple]:
+    """Triple i = (s·n + p)·n + o over the n-term vocabulary, each built once when first asked."""
+    n = len(vocab)
+    return functools.cache(lambda i: Triple(vocab[i // n // n], vocab[i // n % n], vocab[i % n]))
 
 
 def enumerate_graphs(vocabulary: Sequence[Iri], max_triples: int) -> Iterator[Graph]:
@@ -132,11 +136,11 @@ def enumerate_graphs(vocabulary: Sequence[Iri], max_triples: int) -> Iterator[Gr
     vocab = list(dict.fromkeys(vocabulary))
     if not vocab:
         raise ValueError("vocabulary must be non-empty")
-    triples = _all_triples(vocab)
+    triple = _triple_builder(vocab)
     step = _orbit_table(len(vocab), 0)
-    for count in range(min(max_triples, len(triples)) + 1):
+    for count in range(min(max_triples, len(step[0])) + 1):
         for combo in _orderly_walk(step, [frozenset()], count):
-            yield Graph(triples[i] for i in combo)
+            yield Graph(map(triple, combo))
 
 
 def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
@@ -149,19 +153,16 @@ def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
 def _orbit_table(constants: int, fresh: int) -> list[list[int]]:
     """step[n][i]: fresh IRIs seen once triple i joins a prefix that has seen
     the first n of them, or -1 if triple i names one out of order. Triples
-    are indexed as in `_all_triples` over `constants` constants followed by
-    `fresh` fresh IRIs, and scanned subject, predicate, object."""
+    are indexed as in `_triple_builder` over `constants` constants followed
+    by `fresh` fresh IRIs, and scanned subject, predicate, object."""
     terms = range(constants + fresh)
-    ids = [[v - constants for v in t if v >= constants] for t in itertools.product(terms, repeat=3)]
-
-    def seen_after(n: int, fresh_ids: list[int]) -> int:
-        for k in fresh_ids:
-            if k > n:
-                return -1
-            n += k == n
-        return n
-
-    return [[seen_after(n, f) for f in ids] for n in range(fresh + 1)]
+    # after[n][v]: the same count for the single term v. The last row, all -1, is also
+    # row -1, so a term out of order keeps the whole triple out of order.
+    after = [[n if v < constants + n else n + 1 if v == constants + n else -1 for v in terms]
+             for n in range(fresh + 1)] + [[-1] * len(terms)]
+    # Three lookups per triple; one row of `after` gives every object of (s, p) at once.
+    return [[k for s in terms for p in terms for k in after[after[after[n][s]][p]]]
+            for n in range(fresh + 1)]
 
 
 def _orderly_walk(
@@ -230,15 +231,16 @@ def _candidate_stream(
     """
     constants = sorted(pattern_constants(p) | pattern_constants(p2))
     fresh = _fresh_iris(budget.max_fresh_iris, {c.name for c in constants})
-    triples = _all_triples(constants + fresh)
+    n, at = len(constants) + len(fresh), {c: k for k, c in enumerate(constants)}
+    triple = _triple_builder(constants + fresh)
     step = _orbit_table(len(constants), len(fresh))
-    index = {t: i for i, t in enumerate(triples)}
-    required = [frozenset(index[t] for t in r) for r in required_sets]
+    required = [frozenset((at[t.subject] * n + at[t.predicate]) * n + at[t.object] for t in r)
+                for r in required_sets]
     first = 0 if start_position is None else max(start_position[0], 0)
     for count in range(first, budget.max_triples + 1):
         for ordinal, combo in enumerate(_orderly_walk(step, required, count)):
             if start_position is None or (count, ordinal) > start_position:
-                yield (count, ordinal), Graph(triples[i] for i in combo)
+                yield (count, ordinal), Graph(map(triple, combo))
 
 
 def default_search_budget(
@@ -255,6 +257,18 @@ def default_search_budget(
     )
 
 
+def _same_pattern(p: Pattern, p2: Pattern) -> bool:
+    """Structural equality over an explicit stack, safe on deep chains."""
+    stack = [(p, p2)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Opt) and isinstance(b, Opt):
+            stack += ((a.right, b.right), (a.left, b.left))
+        elif a != b:  # a leaf on either side; leaves compare by their basic patterns
+            return False
+    return True
+
+
 def _search(
     p: Pattern,
     p2: Pattern,
@@ -264,6 +278,7 @@ def _search(
     start_position: tuple[int, int] | None,
 ) -> Verdict:
     examined, position, witness = 0, None, None
+    p2 = p if _same_pattern(p, p2) else p2  # equal sides: one evaluation per candidate
     stream = _candidate_stream(p, p2, budget, required_sets, start_position)
     for position, g in itertools.islice(stream, budget.max_candidates):
         examined += 1

@@ -24,9 +24,10 @@ from . import analysis, reduction, tiling
 from .core import parse_graph, serialize_graph
 from .evaluation import evaluate
 from .pattern import (
+    Opt,
+    Pattern,
     is_weakly_well_designed,
     is_well_designed,
-    opt_occurrences,
     parse_pattern,
     pattern_vars,
     serialize_pattern,
@@ -242,8 +243,17 @@ _relation_command(
 )
 
 
-def _reduction_manifest(inst: tiling.TilingInstance, files: dict[str, str]) -> dict:
-    chain = reduction.build_p_prime(inst)
+def _opt_nodes(p: Pattern) -> int:
+    count, stack = 0, [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Opt):
+            count += 1
+            stack += (node.left, node.right)
+    return count
+
+
+def _reduction_manifest(inst: tiling.TilingInstance, p_prime: Pattern, files: dict[str, str]) -> dict:
     return {
         "instance": tiling.instance_to_jsonable(inst),
         "tile_iris": {t: iri.name for t, iri in reduction.tile_iri_map(inst).items()},
@@ -251,17 +261,18 @@ def _reduction_manifest(inst: tiling.TilingInstance, files: dict[str, str]) -> d
             "tiles": len(inst.tiles),
             "h_incompatible": len(inst.h_incompatible()),
             "v_incompatible": len(inst.v_incompatible()),
-            "opt_nodes": len(opt_occurrences(chain)),
+            "opt_nodes": _opt_nodes(p_prime),
         },
         "files": {name: {"sha256": _sha256(data)} for name, data in files.items()},
     }
 
 
-def _emit_reduction(inst: tiling.TilingInstance) -> dict[str, str]:
-    return {
-        "P.sp": serialize_pattern(reduction.build_p(inst), pretty=True),
-        "Pprime.sp": serialize_pattern(reduction.build_p_prime(inst), pretty=True),
-    }
+def _emit_reduction(inst: tiling.TilingInstance) -> tuple[Pattern, Pattern, dict[str, str]]:
+    """P and P′, built once per command, and their pretty text files."""
+    p, p_prime = reduction.build_p(inst), reduction.build_p_prime(inst)
+    files = {"P.sp": serialize_pattern(p, pretty=True)}
+    files["Pprime.sp"] = serialize_pattern(p_prime, pretty=True)
+    return p, p_prime, files
 
 
 @main.command("reduce")
@@ -270,8 +281,8 @@ def _emit_reduction(inst: tiling.TilingInstance) -> dict[str, str]:
 def cmd_reduce(ctx: click.Context, instance_path: str) -> None:
     """Compile an instance to the pattern pair P.sp / Pprime.sp plus manifest."""
     inst = _load(instance_path, tiling.parse_instance)
-    files = _emit_reduction(inst)
-    manifest = _reduction_manifest(inst, files)
+    _, p_prime, files = _emit_reduction(inst)
+    manifest = _reduction_manifest(inst, p_prime, files)
     files["manifest.json"] = _dumps(manifest)
     paths = [_write_file(ctx.obj["out"], name, data) for name, data in files.items()]
     if ctx.obj["json"]:
@@ -304,13 +315,11 @@ def _obtain_tiling(
 
 
 def _witness_files(
-    inst: tiling.TilingInstance, pt: tiling.PeriodicTiling
+    inst: tiling.TilingInstance, pt: tiling.PeriodicTiling, p: Pattern, p_prime: Pattern
 ) -> tuple[dict[str, str], tiling.PeriodicTiling, bool]:
     used = tiling.replicate_to(pt, 2, 2)
     pair = reduction.build_witness(inst, used)
-    verified = reduction.verify_witness(
-        reduction.build_p(inst), reduction.build_p_prime(inst), pair
-    )
+    verified = reduction.verify_witness(p, p_prime, pair)
     files = {
         "G.nt": serialize_graph(pair.graph),
         "mu.json": _dumps(pair.mapping.to_jsonable()),
@@ -332,7 +341,8 @@ def cmd_witness(ctx: click.Context, instance_path: str, tiling_path: str | None,
     if pt is None:
         click.echo(f"no periodic tiling with p <= {max_period}, q <= {max_period}", err=True)
         sys.exit(3)
-    files, used, verified = _witness_files(inst, pt)
+    p, p_prime = reduction.build_p(inst), reduction.build_p_prime(inst)
+    files, used, verified = _witness_files(inst, pt, p, p_prime)
     paths = [_write_file(ctx.obj["out"], name, data) for name, data in files.items()]
     if ctx.obj["json"]:
         click.echo(
@@ -409,18 +419,18 @@ def cmd_tile(
 def cmd_pipeline(ctx: click.Context, instance_path: str, max_period: int, max_n: int) -> None:
     """Chain reduce, tiling search, witness construction, and verification."""
     inst = _load(instance_path, tiling.parse_instance)
-    files = _emit_reduction(inst)
+    p, p_prime, files = _emit_reduction(inst)
     pt = tiling.find_periodic(inst, max_period, max_period)
     verified: bool | None = None
     certificate: int | None = None
     used: tiling.PeriodicTiling | None = None
     if pt is not None:
-        witness_files, used, verified = _witness_files(inst, pt)
+        witness_files, used, verified = _witness_files(inst, pt, p, p_prime)
         files.update(witness_files)
     else:
         certificate = tiling.certify_untileable(inst, max_n)
 
-    manifest = _reduction_manifest(inst, files)
+    manifest = _reduction_manifest(inst, p_prime, files)
     manifest["periodic_tiling"] = tiling.periodic_to_jsonable(used) if used else None
     manifest["untileable_certificate"] = certificate
     manifest["verified"] = verified

@@ -89,8 +89,8 @@ class Triple:
 class Graph:
     """A finite, duplicate-free set of ground triples.
 
-    The sorted triple list and the predicate index are built on first use
-    and kept, so every evaluation over the same graph shares them.
+    The predicate index and, for serialisation and iteration, the sorted
+    triples are built on first use and kept, shared by every evaluation.
     """
 
     __slots__ = ("triples", "_sorted", "_by_predicate")
@@ -98,7 +98,7 @@ class Graph:
     def __init__(self, triples: Iterable[Triple] = ()):
         self.triples: frozenset[Triple] = frozenset(triples)
         self._sorted: tuple[Triple, ...] | None = None
-        self._by_predicate: dict[Iri, tuple[Triple, ...]] | None = None
+        self._by_predicate: dict[Iri, list[Triple]] | None = None
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.triples
@@ -118,21 +118,20 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(<{len(self.triples)} triples>)"
 
-    def sorted_triples(self) -> list[Triple]:
-        return list(self.predicate_index()[0])
-
-    def predicate_index(self) -> tuple[tuple[Triple, ...], dict[Iri, tuple[Triple, ...]]]:
-        """All triples in sorted order, and the triples of each predicate in
-        sorted order. Built once per graph; callers must not mutate the dict."""
+    def sorted_triples(self) -> tuple[Triple, ...]:
+        """The triples in lexicographic (s, p, o) order; sorted once per graph."""
         if self._sorted is None:
             names = attrgetter("subject.name", "predicate.name", "object.name")
-            ordered = tuple(sorted(self.triples, key=names))  # the dataclass order, faster
-            groups: dict[Iri, list[Triple]] = {}
-            for t in ordered:
+            self._sorted = tuple(sorted(self.triples, key=names))  # the dataclass order, faster
+        return self._sorted
+
+    def predicate_index(self) -> tuple[frozenset[Triple], dict[Iri, list[Triple]]]:
+        """All triples, and each predicate's triples, in set order; built once, read-only."""
+        if self._by_predicate is None:
+            groups = self._by_predicate = {}
+            for t in self.triples:
                 groups.setdefault(t.predicate, []).append(t)
-            self._by_predicate = {p: tuple(ts) for p, ts in groups.items()}
-            self._sorted = ordered
-        return self._sorted, self._by_predicate
+        return self.triples, self._by_predicate
 
     def iris(self) -> set[Iri]:
         """All IRIs occurring in any position of any triple."""

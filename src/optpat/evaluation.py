@@ -160,10 +160,11 @@ def left_outer_join(w1: SolutionSet, w2: SolutionSet) -> SolutionSet:
 
 
 def evaluate(p: Pattern, g: Graph) -> SolutionSet:
-    """Recursive evaluation: leaves match, OPT nodes left-outer-join."""
+    """Recursive evaluation: leaves match, OPT nodes left-outer-join unless the left is empty."""
     if isinstance(p, Leaf):
         return match_basic(p.basic, g)
-    return left_outer_join(evaluate(p.left, g), evaluate(p.right, g))
+    left = evaluate(p.left, g)
+    return left_outer_join(left, evaluate(p.right, g)) if left.mappings else left
 
 
 def evaluate_oracle(p: Pattern, g: Graph, max_assignments: int = DEFAULT_ORACLE_CAP) -> SolutionSet:

@@ -4,8 +4,9 @@ These are deliberately literal: the classifiers enumerate every
 (OPT occurrence, variable, occurrence) combination with their own path
 machinery, the join applies the two-clause set-builder definition over
 plain dicts, and the candidate stream materialises each triple-count level,
-sorts it and filters fresh-IRI orbits graph by graph. Nothing here reuses
-the library's classifier, join or candidate-generation code.
+sorts it and filters fresh-IRI orbits graph by graph; the orbit table scans
+each triple's fresh IRIs one call per entry. Nothing here reuses the
+library's classifier, join or candidate-generation code.
 """
 
 from __future__ import annotations
@@ -139,6 +140,24 @@ def _fresh_canonical(sorted_triples: list[Triple], fresh: list[Iri], fresh_set: 
             if term in fresh_set and term not in seen:
                 seen.append(term)
     return seen == fresh[: len(seen)]
+
+
+def orbit_table_reference(constants: int, fresh: int) -> list[list[int]]:
+    """step[n][i]: fresh IRIs seen once triple i joins a prefix that has seen
+    the first n of them, or -1 if triple i names one out of order. Triples
+    are indexed as in `_all_triples` over `constants` constants followed by
+    `fresh` fresh IRIs, and scanned subject, predicate, object."""
+    terms = range(constants + fresh)
+    ids = [[v - constants for v in t if v >= constants] for t in itertools.product(terms, repeat=3)]
+
+    def seen_after(n: int, fresh_ids: list[int]) -> int:
+        for k in fresh_ids:
+            if k > n:
+                return -1
+            n += k == n
+        return n
+
+    return [[seen_after(n, f) for f in ids] for n in range(fresh + 1)]
 
 
 def candidate_stream_reference(

@@ -21,13 +21,14 @@ from optpat import (
     parse_graph,
     parse_pattern,
     serialize_graph,
+    serialize_pattern,
 )
-from optpat import BasicPattern, Leaf, Opt, TriplePattern, analysis
+from optpat import BasicPattern, Leaf, Opt, TriplePattern, Var, analysis
 from optpat.analysis import _fresh_iris
 from optpat.pattern import leftmost_basic
 
 from helpers import M, rand_graph, rand_pattern
-from oracles import candidate_stream_reference, search_reference
+from oracles import candidate_stream_reference, orbit_table_reference, search_reference
 
 
 class TestCheckSubsumedOn:
@@ -198,6 +199,13 @@ class TestCandidateStream:
                     p, p2, cut, check, required, start
                 )
 
+    def test_orbit_table_matches_reference(self):
+        for constants in range(6):
+            for fresh in range(5):
+                if constants + fresh:
+                    expected = orbit_table_reference(constants, fresh)
+                    assert analysis._orbit_table(constants, fresh) == expected
+
     def test_resume_does_not_build_earlier_levels(self):
         # 4 constants and 3 fresh IRIs give 343 triples; the 3-triple level has
         # about 6.7 M sets, so this only passes if levels are generated lazily.
@@ -208,6 +216,56 @@ class TestCandidateStream:
         assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
         assert verdict.candidates_examined == 5
         assert verdict.position == (3, 4)
+
+
+def _chain(leaves: int, last: str) -> Opt:
+    # A left-deep chain of distinct leaves, built without recursion.
+    x, y = Var("x"), Var("y")
+    node = Leaf(BasicPattern([TriplePattern(x, Iri("p0"), y)]))
+    for i in range(1, leaves - 1):
+        node = Opt(node, Leaf(BasicPattern([TriplePattern(x, Iri(f"p{i}"), y)])))
+    return Opt(node, Leaf(BasicPattern([TriplePattern(x, Iri(last), y)])))
+
+
+class TestSamePatternSearch:
+    """Equal patterns are evaluated once per candidate; verdicts, counts and
+    positions stay those of evaluating both."""
+
+    def test_separately_parsed_copy_matches_reference(self):
+        rng = random.Random(75)
+        checks = ((check_subsumed_on, 1), (check_contained_on, 1), (check_equivalent_on, 2))
+        for p, _, budget, _, _ in _stream_cases(76, 20):
+            copy = parse_pattern(serialize_pattern(p))
+            assert copy is not p and analysis._same_pattern(p, copy)
+            for check, sets in checks:
+                required = [leftmost_basic(p).ground_triples()] * sets
+                positions = [pos for pos, _ in candidate_stream_reference(p, copy, budget, required)]
+                for start in [None, *rng.sample(positions, min(2, len(positions)))]:
+                    cut = SearchBudget(
+                        budget.max_triples, budget.max_fresh_iris, rng.choice((1, 7, 10**6))
+                    )
+                    got = analysis._search(p, copy, cut, check, required, start)
+                    assert got == search_reference(p, copy, cut, check, required, start)
+
+    def test_equivalence_evaluates_once_per_candidate(self, monkeypatch):
+        engine = analysis.evaluate
+        calls = []
+
+        def counting(p, g):
+            calls.append(g)
+            return engine(p, g)
+
+        monkeypatch.setattr(analysis, "evaluate", counting)
+        w1 = parse_pattern("({ ?x p ?y } OPT { ?y q ?z })")
+        w1_copy = parse_pattern("({ ?x p ?y } OPT { ?y q ?z })")
+        verdict = find_equivalence_counterexample(w1, w1_copy, SearchBudget(2, 3))
+        assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
+        assert len(calls) == verdict.candidates_examined > 0
+
+    def test_deep_chains_compare_without_recursion(self):
+        assert analysis._same_pattern(_chain(5000, "last"), _chain(5000, "last"))
+        assert not analysis._same_pattern(_chain(5000, "last"), _chain(5000, "other"))
+        assert not analysis._same_pattern(_chain(5000, "last"), _chain(4999, "last"))
 
 
 class TestFindSubsumption:

@@ -1,12 +1,14 @@
 """CLI behaviors: formats, exit codes, files written, determinism."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
-from optpat import cli, parse_graph, parse_pattern, verify_witness
+from optpat import cli, parse_graph, parse_pattern, reduction, verify_witness
 from optpat.cli import main
+from optpat.pattern import opt_occurrences
 from optpat.reduction import WitnessPair
 
 from helpers import (
@@ -14,6 +16,7 @@ from helpers import (
     M,
     ONE_TILE_EMPTY_JSON,
     ONE_TILE_SELF_JSON,
+    rand_instance,
 )
 
 
@@ -345,6 +348,28 @@ class TestPipeline:
         assert manifest["verified"] is None
         assert manifest["periodic_tiling"] is None
         assert manifest["untileable_certificate"] == 2
+
+
+class TestReductionBuiltOnce:
+    @pytest.mark.parametrize("command", ["reduce", "witness", "pipeline"])
+    def test_each_pattern_built_once(self, runner, workspace, tmp_path, monkeypatch, command):
+        calls = []
+        for name in ("build_p", "build_p_prime"):
+            real = getattr(reduction, name)
+            monkeypatch.setattr(
+                reduction, name, lambda inst, name=name, real=real: calls.append(name) or real(inst)
+            )
+        result = runner.invoke(
+            main, ["--out", str(tmp_path), command, str(workspace / "checker.json")]
+        )
+        assert result.exit_code == 0, result.output
+        assert sorted(calls) == ["build_p", "build_p_prime"]
+
+    def test_opt_node_count_matches_occurrences(self):
+        rng = random.Random(81)
+        for _ in range(20):
+            chain = reduction.build_p_prime(rand_instance(rng))
+            assert cli._opt_nodes(chain) == len(opt_occurrences(chain))
 
 
 class TestInternalFailure:

@@ -11,6 +11,7 @@ from optpat import (
     Iri,
     Leaf,
     Mapping,
+    Opt,
     OracleBudgetError,
     SolutionSet,
     Var,
@@ -23,6 +24,7 @@ from optpat import (
     pattern_vars,
     subsumed_mapping,
 )
+from optpat import evaluation
 
 from helpers import M, rand_graph, rand_pattern, rand_solution_set
 from oracles import join_reference
@@ -154,6 +156,44 @@ class TestEvaluate:
             for m in evaluate(p, g):
                 assert m.domain <= pattern_vars(p)
                 assert all(value in graph_iris for _, value in m.items())
+
+
+def _leaves(p):
+    return [p] if isinstance(p, Leaf) else _leaves(p.left) + _leaves(p.right)
+
+
+def _opt_nodes(p):
+    return [] if isinstance(p, Leaf) else [p, *_opt_nodes(p.left), *_opt_nodes(p.right)]
+
+
+class TestShortCircuit:
+    def test_empty_left_never_matches_right_leaves(self, monkeypatch):
+        engine = evaluation.match_basic
+        matched = set()
+
+        def counting(b, g):
+            matched.add(id(b))
+            return engine(b, g)
+
+        monkeypatch.setattr(evaluation, "match_basic", counting)
+        rng = random.Random(56)
+        iris = [Iri(n) for n in ("a", "b", "c")]
+        skipped = 0
+        for i in range(300):
+            g = rand_graph(rng, iris, 4)
+            p = rand_pattern(rng, depth=3)
+            if i % 3 == 1:
+                # `{ a zz a }` names an IRI no graph here has, so this left is empty.
+                p = Opt(Opt(Leaf(basic("{ a zz a }")), rand_pattern(rng, depth=2)), p)
+            elif i % 3 == 2:
+                p = Opt(p, Opt(Leaf(basic("{ ?v0 zz ?v1 }")), rand_pattern(rng, depth=2)))
+            matched.clear()
+            assert evaluate(p, g) == evaluate_oracle(p, g)
+            for node in _opt_nodes(p):
+                if not evaluate_oracle(node.left, g).mappings:
+                    skipped += 1
+                    assert not matched & {id(leaf.basic) for leaf in _leaves(node.right)}
+        assert skipped > 200
 
 
 class TestSolutionSet:
