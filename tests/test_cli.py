@@ -396,3 +396,35 @@ class TestInternalFailure:
         assert caught.value.code == 2
         assert capsys.readouterr().err == "error: internal: RuntimeError: engine failure\n"
 
+
+
+class TestFileAccess:
+    """Files are read unbuffered and written in binary; the results must be
+    those of text-mode `open` with UTF-8."""
+
+    @pytest.mark.parametrize("name", ["nope.sp", "adir"])
+    def test_unreadable_path_message_names_it(self, runner, tmp_path, name):
+        (tmp_path / "adir").mkdir()
+        path = str(tmp_path / name)
+        result = runner.invoke(main, ["classify", path])
+        assert result.exit_code == 2
+        with pytest.raises(OSError) as caught:
+            open(path, encoding="utf-8").read()
+        assert result.stderr == f"error: {caught.value}\n"
+
+    def test_read_matches_text_mode(self, tmp_path):
+        # Mixed newlines, non-ASCII, and more than one read's worth of bytes.
+        texts = ["a\r\nb\rc\nd", "é\r\r\n" * 3, "{ ?x p ?y }\r\n" * 10_000, ""]
+        for i, text in enumerate(texts):
+            path = tmp_path / f"t{i}.sp"
+            path.write_bytes(text.encode("utf-8"))
+            assert cli._read_text(str(path)) == open(path, encoding="utf-8").read()
+
+    def test_write_files_in_order_utf8_truncating(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        cli._write_files(str(out), {"a.nt": "x" * 100})
+        files = {"b.json": "é\n", "a.nt": "short\n", "empty": ""}
+        paths = cli._write_files(str(out), files)
+        assert paths == [str(out / name) for name in files]
+        for name, data in files.items():
+            assert (out / name).read_bytes() == data.encode("utf-8")
