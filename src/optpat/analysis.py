@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .core import Graph, Iri, Mapping, Triple, subsumed_mapping
+from .core import Graph, Iri, Mapping, Triple, Var, subsumed_mapping
 from .evaluation import SolutionSet, evaluate
-from .pattern import Opt, Pattern, leftmost_basic, pattern_constants, pattern_vars
+from .pattern import Opt, Pattern, TriplePattern, leftmost_basic, pattern_constants, pattern_vars
 
 
 class Status(enum.Enum):
@@ -269,6 +269,45 @@ def _same_pattern(p: Pattern, p2: Pattern) -> bool:
     return True
 
 
+def _matches(tp: TriplePattern, t: Triple) -> bool:
+    """Does the triple pattern send some mapping onto `t`? Constants must be
+    equal, and a repeated variable must meet equal terms."""
+    bound: dict[Var, Iri] = {}
+    for term, value in zip(tp.terms(), (t.subject, t.predicate, t.object)):
+        if type(term) is Var:
+            if bound.setdefault(term, value) != value:
+                return False
+        elif term != value:
+            return False
+    return True
+
+
+def _relevance(p: Pattern, p2: Pattern) -> Callable[[Triple], bool]:
+    """Whether some triple pattern of some leaf of p or p2 matches a triple,
+    memoised per triple. Only the patterns with the triple's predicate or a
+    variable predicate are tried."""
+    by_predicate: dict[Iri, set[TriplePattern]] = {}
+    any_predicate: set[TriplePattern] = set()
+    stack = [p, p2]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Opt):
+            stack += (node.left, node.right)
+            continue
+        for tp in node.basic.triples:
+            if type(tp.predicate) is Var:
+                any_predicate.add(tp)
+            else:
+                by_predicate.setdefault(tp.predicate, set()).add(tp)
+
+    @functools.cache
+    def relevant(t: Triple) -> bool:
+        tps = itertools.chain(by_predicate.get(t.predicate, ()), any_predicate)
+        return any(_matches(tp, t) for tp in tps)
+
+    return relevant
+
+
 def _search(
     p: Pattern,
     p2: Pattern,
@@ -277,11 +316,29 @@ def _search(
     required_sets: Sequence[frozenset[Triple]],
     start_position: tuple[int, int] | None,
 ) -> Verdict:
+    """Check the stream's candidates in order up to the first violation.
+
+    A triple that no triple pattern of p or p2 matches changes neither
+    side's solutions, so a candidate holding one has the verdict of its
+    relevant part G_r. Up to a renaming of fresh IRIs, G_r is a smaller
+    candidate: the required triples are ground leaf triples, so it keeps
+    them. When G_r's level lies above the resume level, G_r was checked
+    earlier in this search and was no violation; the candidate is then
+    counted as examined without being evaluated.
+    """
     examined, position, witness = 0, None, None
     p2 = p if _same_pattern(p, p2) else p2  # equal sides: one evaluation per candidate
+    resume_level = -1 if start_position is None else start_position[0]
+    relevant = None  # built at the first candidate of two or more triples
     stream = _candidate_stream(p, p2, budget, required_sets, start_position)
     for position, g in itertools.islice(stream, budget.max_candidates):
         examined += 1
+        if len(g.triples) > 1:
+            if relevant is None:
+                relevant = _relevance(p, p2)
+            kept = sum(map(relevant, g.triples))
+            if resume_level < kept < len(g.triples):
+                continue
         witness = check(p, p2, g).witness
         if witness is not None:
             break

@@ -8,6 +8,7 @@ their root path, so repeated subpatterns stay distinguishable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -260,127 +261,109 @@ def is_weakly_well_designed(p: Pattern) -> bool:
 # explicitly parenthesized; there are no precedence rules.
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | var | lbrace | rbrace | lparen | rparen | dot | eof
-    text: str
-    line: int
-    col: int
+# One token each: punctuation, a variable, a word, or a character no token starts with.
+_TOKEN_RE = re.compile(r"[{}().]|\?\w*|\w+|\S")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_PUNCT = frozenset("{}().")
 
 
-_PUNCT = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen", ".": "dot"}
+class _Unexpected(Exception):
+    """A syntax error at the parser's current token."""
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-        elif c.isspace():
-            i, col = i + 1, col + 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, line, col))
-            i, col = i + 1, col + 1
-        elif c == "?" or c.isalpha() or c == "_":
-            start_line, start_col = line, col
-            is_var = c == "?"
-            if is_var:
-                i, col = i + 1, col + 1
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if not name or name[0].isdigit():
-                raise ParseError("expected identifier", start_line, start_col)
-            tokens.append(_Token("var" if is_var else "ident", name, start_line, start_col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _shown(tok: str) -> str:
+    # A token as error messages quote it: a variable without its "?".
+    return tok[1:] if tok[:1] == "?" else tok or "end of input"
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _token_error(tok: str) -> str | None:
+    """Why the tokenizer rejects a token: a "?" without an identifier, or a
+    character that starts no token (a word must start with a letter or "_")."""
+    if tok[:1] == "?":
+        return None if tok[1:2] and not tok[1].isdigit() else "expected identifier"
+    if tok and tok not in _PUNCT and not (tok[0].isalpha() or tok[0] == "_"):
+        return f"unexpected character {tok[0]!r}"
+    return None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return self.take()
-
-    def pattern(self) -> Pattern:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            self.take()
-            left = self.pattern()
-            kw = self.peek()
-            if kw.kind != "ident" or kw.text != "OPT":
-                raise ParseError(f"expected 'OPT', found {kw.text or 'end of input'!r}", kw.line, kw.col)
-            self.take()
-            right = self.pattern()
-            self.expect("rparen", "')'")
-            return Opt(left, right)
-        if tok.kind == "lbrace":
-            return Leaf(self.basic())
-        raise ParseError(
-            f"expected pattern, found {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
-
-    def basic(self) -> BasicPattern:
-        self.expect("lbrace", "'{'")
-        triples: list[TriplePattern] = []
-        if self.peek().kind == "rbrace":
-            self.take()
-            return BasicPattern()
-        triples.append(self.triple())
-        while self.peek().kind == "dot":
-            self.take()
-            if self.peek().kind == "rbrace":
-                break  # trailing dot
-            triples.append(self.triple())
-        self.expect("rbrace", "'}'")
-        return BasicPattern(triples)
-
-    def triple(self) -> TriplePattern:
-        return TriplePattern(self.term(), self.term(), self.term())
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            return Iri(self.take().text)
-        if tok.kind == "var":
-            return Var(self.take().text)
-        raise ParseError(
-            f"expected term, found {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
+def _error_at(source: str, k: int, message: str) -> ParseError:
+    # Token k's line and column; k == number of tokens is the end of input.
+    pos = [*(m.start() for m in _TOKEN_RE.finditer(source)), len(source)][k]
+    return ParseError(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
 
 
 def parse_pattern(text: str) -> Pattern:
-    tokens = _tokenize(text)
-    parser = _Parser(tokens)
-    p = parser.pattern()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col)
-    return p
+    """Parse the text syntax above over an explicit stack, so nesting depth
+    is bounded only by memory. Raises ParseError with a 1-based line and
+    column; a malformed token anywhere is reported before any grammar error."""
+    source = _COMMENT_RE.sub("", text)  # a comment moves no column
+    tokens = _TOKEN_RE.findall(source)
+    tokens.append("")  # end of input
+    terms: dict[str, Term] = {}  # one Iri or Var per distinct token
+
+    def term(tok: str) -> Term:
+        found = terms.get(tok)
+        if found is None:
+            if tok[:1] == "?":
+                found = Var(tok[1:])
+            elif tok[:1].isalpha() or tok[:1] == "_":
+                found = Iri(tok)
+            else:
+                raise _Unexpected(f"expected term, found {_shown(tok)!r}")
+            terms[tok] = found
+        return found
+
+    lefts: list[Pattern | None] = []  # per open "(": its left argument, once parsed
+    k = 0
+    try:
+        while True:
+            if tokens[k] == "(":
+                lefts.append(None)
+                k += 1
+                continue
+            if tokens[k] != "{":
+                raise _Unexpected(f"expected pattern, found {_shown(tokens[k])!r}")
+            k += 1
+            triples: list[TriplePattern] = []
+            while tokens[k] != "}":
+                s = term(tokens[k])
+                k += 1
+                p = term(tokens[k])
+                k += 1
+                triples.append(TriplePattern(s, p, term(tokens[k])))
+                k += 1
+                if tokens[k] != ".":
+                    break
+                k += 1
+            if tokens[k] != "}":
+                raise _Unexpected(f"expected '}}', found {_shown(tokens[k])!r}")
+            k += 1
+            node: Pattern = Leaf(BasicPattern(triples))
+            while lefts:
+                if lefts[-1] is None:  # node is a left argument; "OPT" and the right follow
+                    if tokens[k] != "OPT":
+                        raise _Unexpected(f"expected 'OPT', found {_shown(tokens[k])!r}")
+                    lefts[-1] = node
+                    k += 1
+                    break
+                if tokens[k] != ")":
+                    raise _Unexpected(f"expected ')', found {_shown(tokens[k])!r}")
+                node = Opt(lefts.pop(), node)
+                k += 1
+            else:
+                if tokens[k]:
+                    raise _Unexpected(f"unexpected trailing input {_shown(tokens[k])!r}")
+                return node
+    except (_Unexpected, ValueError) as exc:
+        # Every token before k was accepted, so the tokenizer's first
+        # complaint, if any, is at k or later, and it comes first.
+        for j in range(k, len(tokens)):
+            problem = _token_error(tokens[j])
+            if problem is not None:
+                raise _error_at(source, j, problem) from None
+        if isinstance(exc, _Unexpected):
+            raise _error_at(source, k, str(exc)) from None
+        raise
 
 
 def _basic_text(b: BasicPattern) -> str:

@@ -5,31 +5,39 @@ These are deliberately literal: the classifiers enumerate every
 machinery, the join applies the two-clause set-builder definition over
 plain dicts, and the candidate stream materialises each triple-count level,
 sorts it and filters fresh-IRI orbits graph by graph; the orbit table scans
-each triple's fresh IRIs one call per entry. Nothing here reuses the
-library's classifier, join or candidate-generation code.
+each triple's fresh IRIs one call per entry; a triple's relevance to a
+search is read off the enumeration oracle on the one-triple graph; and the
+pattern parser is a character-by-character tokenizer feeding a recursive
+descent. Nothing here reuses the library's classifier, join, matcher,
+candidate-generation or parsing code.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from optpat import (
+    BasicPattern,
     Graph,
     Iri,
     Leaf,
     Mapping,
     Opt,
+    ParseError,
     Pattern,
     SearchBudget,
     SolutionSet,
     Status,
     Triple,
+    TriplePattern,
     Var,
     Verdict,
+    evaluate_oracle,
 )
-from optpat.pattern import pattern_constants
+from optpat.pattern import Term, pattern_constants
 
 
 def _occurrences(p: Pattern) -> list[tuple[tuple[str, ...], Pattern]]:
@@ -238,3 +246,142 @@ def search_reference(
         budget=budget,
         position=last,
     )
+
+
+def relevant_reference(patterns: Sequence[Pattern], t: Triple) -> bool:
+    """Does some triple pattern of some leaf of the patterns have a solution
+    on the graph holding `t` alone?"""
+    g = Graph([t])
+    return any(
+        evaluate_oracle(Leaf(BasicPattern([tp])), g).mappings
+        for p in patterns
+        for _, node in _occurrences(p)
+        if isinstance(node, Leaf)
+        for tp in node.basic.triples
+    )
+
+
+# --- the pattern parser of the first releases, kept verbatim ----------------
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # ident | var | lbrace | rbrace | lparen | rparen | dot | eof
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen", ".": "dot"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c.isspace():
+            i, col = i + 1, col + 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in _PUNCT:
+            tokens.append(_Token(_PUNCT[c], c, line, col))
+            i, col = i + 1, col + 1
+        elif c == "?" or c.isalpha() or c == "_":
+            start_line, start_col = line, col
+            is_var = c == "?"
+            if is_var:
+                i, col = i + 1, col + 1
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            if not name or name[0].isdigit():
+                raise ParseError("expected identifier", start_line, start_col)
+            tokens.append(_Token("var" if is_var else "ident", name, start_line, start_col))
+            col += j - i
+            i = j
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        return self.take()
+
+    def pattern(self) -> Pattern:
+        tok = self.peek()
+        if tok.kind == "lparen":
+            self.take()
+            left = self.pattern()
+            kw = self.peek()
+            if kw.kind != "ident" or kw.text != "OPT":
+                raise ParseError(f"expected 'OPT', found {kw.text or 'end of input'!r}", kw.line, kw.col)
+            self.take()
+            right = self.pattern()
+            self.expect("rparen", "')'")
+            return Opt(left, right)
+        if tok.kind == "lbrace":
+            return Leaf(self.basic())
+        raise ParseError(
+            f"expected pattern, found {tok.text or 'end of input'!r}", tok.line, tok.col
+        )
+
+    def basic(self) -> BasicPattern:
+        self.expect("lbrace", "'{'")
+        triples: list[TriplePattern] = []
+        if self.peek().kind == "rbrace":
+            self.take()
+            return BasicPattern()
+        triples.append(self.triple())
+        while self.peek().kind == "dot":
+            self.take()
+            if self.peek().kind == "rbrace":
+                break  # trailing dot
+            triples.append(self.triple())
+        self.expect("rbrace", "'}'")
+        return BasicPattern(triples)
+
+    def triple(self) -> TriplePattern:
+        return TriplePattern(self.term(), self.term(), self.term())
+
+    def term(self) -> Term:
+        tok = self.peek()
+        if tok.kind == "ident":
+            return Iri(self.take().text)
+        if tok.kind == "var":
+            return Var(self.take().text)
+        raise ParseError(
+            f"expected term, found {tok.text or 'end of input'!r}", tok.line, tok.col
+        )
+
+
+def parse_pattern_reference(text: str) -> Pattern:
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
+    p = parser.pattern()
+    trailing = parser.peek()
+    if trailing.kind != "eof":
+        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col)
+    return p

@@ -177,10 +177,12 @@ def test_criterion_6_converse_direction_consistency():
     started = time.perf_counter()
     inst = parse_instance(ONE_TILE_EMPTY_JSON)
     assert certify_untileable(inst, 4) == 2
+    # P alone has 5 required ground triples, so a budget below 6 triples examines nothing.
     verdict = find_subsumption_counterexample(
-        build_p(inst), build_p_prime(inst), SearchBudget(4, 3, max_candidates=10**9)
+        build_p(inst), build_p_prime(inst), SearchBudget(6, 3, max_candidates=10**9)
     )
     assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
+    assert verdict.candidates_examined > 0
     assert time.perf_counter() - started < 300
 
 

@@ -1,5 +1,6 @@
 """Per-graph checks, graph enumeration, and bounded counterexample search."""
 
+import functools
 import random
 
 import pytest
@@ -25,10 +26,15 @@ from optpat import (
 )
 from optpat import BasicPattern, Leaf, Opt, TriplePattern, Var, analysis
 from optpat.analysis import _fresh_iris
-from optpat.pattern import leftmost_basic
+from optpat.pattern import leftmost_basic, pattern_constants
 
 from helpers import M, rand_graph, rand_pattern
-from oracles import candidate_stream_reference, orbit_table_reference, search_reference
+from oracles import (
+    candidate_stream_reference,
+    orbit_table_reference,
+    relevant_reference,
+    search_reference,
+)
 
 
 class TestCheckSubsumedOn:
@@ -258,14 +264,74 @@ class TestSamePatternSearch:
         monkeypatch.setattr(analysis, "evaluate", counting)
         w1 = parse_pattern("({ ?x p ?y } OPT { ?y q ?z })")
         w1_copy = parse_pattern("({ ?x p ?y } OPT { ?y q ?z })")
-        verdict = find_equivalence_counterexample(w1, w1_copy, SearchBudget(2, 3))
+        budget = SearchBudget(2, 3)
+        verdict = find_equivalence_counterexample(w1, w1_copy, budget)
         assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
-        assert len(calls) == verdict.candidates_examined > 0
+        # One evaluation for each candidate of at most one triple or only relevant
+        # triples; the others are decided by their relevant part, checked earlier.
+        required = [frozenset(), frozenset()]
+        stream = [g for _, g in candidate_stream_reference(w1, w1_copy, budget, required)]
+        relevant = functools.cache(lambda t: relevant_reference((w1, w1_copy), t))
+        undecided = [g for g in stream if len(g) <= 1 or all(map(relevant, g.triples))]
+        assert verdict.candidates_examined == len(stream)
+        assert len(calls) == len(undecided) < len(stream)
+        assert calls == undecided
 
     def test_deep_chains_compare_without_recursion(self):
         assert analysis._same_pattern(_chain(5000, "last"), _chain(5000, "last"))
         assert not analysis._same_pattern(_chain(5000, "last"), _chain(5000, "other"))
         assert not analysis._same_pattern(_chain(5000, "last"), _chain(4999, "last"))
+
+
+class TestDecidedCandidates:
+    """A candidate holding a triple that no triple pattern of either side
+    matches is counted without evaluation exactly when its relevant part has
+    more triples than the resume level; verdicts, counts and positions stay
+    those of `oracles.search_reference`, which checks every candidate."""
+
+    def test_seeded_sweep_matches_reference(self):
+        rng = random.Random(80)
+        # Two variables: no triple pattern has three distinct ones and matches every triple.
+        variables, consts = (Var("x"), Var("y")), (Iri("a"), Iri("b"))
+        checks = (check_subsumed_on, check_contained_on, check_equivalent_on)
+        searches = skipped = violated = 0
+        while searches < 2000:
+            p, p2 = (rand_pattern(rng, 2, variables, consts) for _ in range(2))
+            if rng.random() < 0.5:
+                ground = BasicPattern([TriplePattern(*(rng.choice(consts) for _ in range(3)))])
+                p = Opt(Leaf(ground), p)
+            if rng.random() < 0.4:  # equal sides: no violation, so every level is searched
+                p2 = parse_pattern(serialize_pattern(p))
+            fresh = rng.randint(0, 2)
+            vocabulary = len(pattern_constants(p) | pattern_constants(p2)) + fresh
+            budget = SearchBudget(rng.randint(1, 3 if vocabulary <= 2 else 2), fresh)
+            check = checks[searches % 3]
+            required = [leftmost_basic(p).ground_triples()]
+            if check is check_equivalent_on:
+                required.append(leftmost_basic(p2).ground_triples())
+            stream = list(candidate_stream_reference(p, p2, budget, required))
+            relevant = functools.cache(lambda t: relevant_reference((p, p2), t))
+            for start in [None, *rng.sample([pos for pos, _ in stream], min(2, len(stream)))]:
+                cut = SearchBudget(budget.max_triples, fresh, rng.choice((3, 20, 10**6)))
+                checked = []
+
+                def counting(a, b, g):
+                    checked.append(g)
+                    return check(a, b, g)
+
+                got = analysis._search(p, p2, cut, counting, required, start)
+                assert got == search_reference(p, p2, cut, check, required, start)
+                level = -1 if start is None else start[0]
+                examined = [g for pos, g in stream if start is None or pos > start]
+                examined = examined[: got.candidates_examined]
+                kept = [sum(map(relevant, g.triples)) for g in examined]
+                assert checked == [
+                    g for g, k in zip(examined, kept) if len(g) <= 1 or not level < k < len(g)
+                ]
+                searches += 1
+                skipped += len(examined) - len(checked)
+                violated += got.status is Status.VIOLATED
+        assert skipped > 2000 and violated > 500
 
 
 class TestFindSubsumption:

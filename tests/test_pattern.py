@@ -21,10 +21,11 @@ from optpat import (
     pattern_vars,
     serialize_pattern,
 )
-from optpat.pattern import leaf_occurrences, node_at
+from optpat.analysis import _same_pattern
+from optpat.pattern import TriplePattern, leaf_occurrences, node_at
 
 from helpers import rand_pattern, rand_pattern_nodes
-from oracles import wd_reference, wwd_reference
+from oracles import parse_pattern_reference, wd_reference, wwd_reference
 
 
 def chain(*texts):
@@ -87,6 +88,78 @@ class TestParsing:
     def test_opt_usable_as_plain_identifier_in_triples(self):
         p = parse_pattern("{ OPT OPT OPT }")
         assert isinstance(p, Leaf) and len(p.basic) == 1
+
+    def test_deep_chain_parses_without_recursion(self):
+        leaves = 5000
+        text = "(" * (leaves - 1) + "{ ?x p0 ?y }"
+        text += "".join(f" OPT {{ ?x p{i} ?y }})" for i in range(1, leaves))
+        x, y = Var("x"), Var("y")
+        expected = Leaf(BasicPattern([TriplePattern(x, Iri("p0"), y)]))
+        for i in range(1, leaves):
+            expected = Opt(expected, Leaf(BasicPattern([TriplePattern(x, Iri(f"p{i}"), y)])))
+        assert _same_pattern(parse_pattern(text), expected)
+
+    def test_terms_shared_within_a_parse(self):
+        p = parse_pattern("({ ?x p a } OPT { ?x p ?y })")
+        (left,), (right,) = p.left.basic.triples, p.right.basic.triples
+        assert left.subject is right.subject and left.predicate is right.predicate
+
+
+# Pieces of pattern text, well-formed or not: non-ASCII letters and digits,
+# "?" alone and before a digit, comments, CR/LF and other line breaks.
+_FUZZ_PIECES = [
+    "{", "}", "(", ")", ".", "OPT", "opt", "OPTx", "?x", "?y", "?_v", "?", "?1", "?\u00b2",
+    "?\u00e9", "?\u00bd", "a", "p", "_b", "x2", "\u00e9", "\u00f1ame", "1", "1a", "\u00bd",
+    "\u00b2", "\u216b", "#", "# note", "#{ a p b }", "\n", "\r\n", "\r", " ", "  ", "\t",
+    "\u00a0", "\u2028", "\x0b", "$", "%", ",", ";", "<a>", "\"",
+]
+
+
+def _fuzz_text(rng: random.Random) -> str:
+    if rng.random() < 0.3:
+        return "".join(rng.choice((" ", "", "\n")) + rng.choice(_FUZZ_PIECES)
+                       for _ in range(rng.randint(0, 12)))
+    text = serialize_pattern(rand_pattern(rng, depth=3), pretty=rng.random() < 0.4)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        at = rng.randint(0, len(text))
+        edit = rng.random()
+        if edit < 0.4:
+            text = text[:at] + rng.choice(_FUZZ_PIECES) + text[at:]
+        elif edit < 0.6:
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        elif edit < 0.8:
+            text = text.replace("OPT", "", 1)  # a missing OPT
+        else:
+            text += rng.choice((" ", "\n", "")) + rng.choice(_FUZZ_PIECES)  # trailing input
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+class TestParserAgainstReference:
+    """The regular-expression parser against the first releases' tokenizer
+    and recursive descent (`oracles.parse_pattern_reference`)."""
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(48)
+        kinds: dict[str, int] = {}
+        for _ in range(6000):
+            text = _fuzz_text(rng)
+            expected = _parse_outcome(parse_pattern_reference, text)
+            assert _parse_outcome(parse_pattern, text) == expected, repr(text)
+            if not isinstance(expected, tuple):
+                kind = "ok"
+            else:
+                kind = expected[1].split(": ", 1)[expected[0] is ParseError][:14]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        for kind in ("ok", "expected ident", "unexpected cha", "expected 'OPT'",
+                     "unexpected tra", "expected term,", "invalid IRI na", "invalid variab"):
+            assert kinds.get(kind, 0) >= 10, (kind, kinds)
 
 
 class TestSerialization:
