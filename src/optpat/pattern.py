@@ -1,15 +1,16 @@
-"""Pattern AST for the OPT fragment, its text syntax, occurrence machinery,
-and the well-designed / weakly well-designed classifiers.
+"""Pattern AST for the OPT fragment, its text syntax, and the
+well-designed / weakly well-designed classifiers.
 
 A pattern is a binary tree whose leaves are basic graph patterns and whose
-internal nodes are OPT operators. Occurrences address parse-tree nodes by
-their root path, so repeated subpatterns stay distinguishable.
+internal nodes are OPT operators.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Union
 
 from .core import Iri, ParseError, Triple, Var
@@ -87,25 +88,6 @@ class Opt:
 
 Pattern = Union[Leaf, Opt]
 
-LEFT = "L"
-RIGHT = "R"
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """Address of a parse-tree node: the branch path from the root."""
-
-    path: tuple[str, ...] = ()
-
-    def child(self, step: str) -> "Occurrence":
-        return Occurrence(self.path + (step,))
-
-    def __str__(self) -> str:
-        return ".".join(self.path) if self.path else "ε"
-
-
-ROOT = Occurrence()
-
 
 def pattern_vars(p: Pattern) -> frozenset[Var]:
     """All variables appearing in any leaf of the pattern."""
@@ -120,47 +102,17 @@ def pattern_constants(p: Pattern) -> frozenset[Iri]:
     return pattern_constants(p.left) | pattern_constants(p.right)
 
 
-def node_at(p: Pattern, occ: Occurrence) -> Pattern:
-    """The subtree addressed by `occ`; raises ValueError on a dangling path."""
-    node = p
-    for step in occ.path:
-        if not isinstance(node, Opt):
-            raise ValueError(f"occurrence {occ} does not address a node")
-        node = node.left if step == LEFT else node.right
-    return node
-
-
-def occurrences(p: Pattern) -> list[Occurrence]:
-    """All node addresses, in preorder."""
-    out: list[Occurrence] = []
-
-    def walk(node: Pattern, path: tuple[str, ...]) -> None:
-        out.append(Occurrence(path))
-        if isinstance(node, Opt):
-            walk(node.left, path + (LEFT,))
-            walk(node.right, path + (RIGHT,))
-
-    walk(p, ())
-    return out
-
-
-def leaf_occurrences(p: Pattern) -> list[tuple[Occurrence, BasicPattern]]:
-    """Leaf addresses with their basic patterns, left to right."""
-    out: list[tuple[Occurrence, BasicPattern]] = []
-
-    def walk(node: Pattern, path: tuple[str, ...]) -> None:
-        if isinstance(node, Leaf):
-            out.append((Occurrence(path), node.basic))
-        else:
-            walk(node.left, path + (LEFT,))
-            walk(node.right, path + (RIGHT,))
-
-    walk(p, ())
-    return out
-
-
 def leaf_basics(p: Pattern) -> list[BasicPattern]:
-    return [b for _, b in leaf_occurrences(p)]
+    """The leaves' basic patterns, left to right."""
+    out: list[BasicPattern] = []
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.basic)
+        else:
+            stack += (node.right, node.left)
+    return out
 
 
 def leftmost_basic(p: Pattern) -> BasicPattern:
@@ -170,84 +122,68 @@ def leftmost_basic(p: Pattern) -> BasicPattern:
     return node.basic
 
 
-def opt_occurrences(p: Pattern) -> list[Occurrence]:
-    return [o for o in occurrences(p) if isinstance(node_at(p, o), Opt)]
+def _opt_spans(p: Pattern) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """One post-order pass over an explicit stack.
 
-
-def inside(o1: Occurrence, o2: Occurrence) -> bool:
-    """True iff o1 addresses a node within the subtree at o2 (descendant-or-self).
-
-    Reflexivity is deliberate: with strict descendance, the left argument of
-    an OPT node would not count as inside itself and left-deep chains would
-    misclassify under the dominance check below.
+    Leaves are numbered left to right, so each node covers the leaves
+    [lo, hi). Variables are bits. Returns, per OPT node, (lo, hi, fresh)
+    with `fresh` the mask of variables its right argument has and its left
+    argument lacks, and the variable mask of each leaf.
     """
-    return o1.path[: len(o2.path)] == o2.path
+    bits: dict[Var, int] = {}
+    leaf_masks: list[int] = []
+    spans: list[tuple[int, int, int]] = []
+    done: list[tuple[int, int]] = []  # (lo, variable mask) per finished subtree
+    stack: list[tuple[Pattern, bool]] = [(p, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            mask = 0
+            for v in node.basic.vars:
+                mask |= bits.setdefault(v, 1 << len(bits))
+            done.append((len(leaf_masks), mask))
+            leaf_masks.append(mask)
+        elif not children_done:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            _, right = done.pop()
+            lo, left = done.pop()
+            spans.append((lo, len(leaf_masks), right & ~left))
+            done.append((lo, left | right))
+    return spans, leaf_masks
 
 
-def dominates(p: Pattern, o1: Occurrence, o2: Occurrence) -> bool:
-    """True iff some OPT occurrence has o1 inside its left argument and o2
-    inside its right argument."""
-    node_at(p, o1)
-    node_at(p, o2)
-    for j in opt_occurrences(p):
-        if inside(o1, j.child(LEFT)) and inside(o2, j.child(RIGHT)):
-            return True
-    return False
-
-
-def _var_leaf_sites(p: Pattern) -> dict[Var, list[tuple[str, ...]]]:
-    sites: dict[Var, list[tuple[str, ...]]] = {}
-    for occ, basic in leaf_occurrences(p):
-        for v in basic.vars:
-            sites.setdefault(v, []).append(occ.path)
-    return sites
-
-
-def _fresh_right_vars(p: Pattern, occ: Occurrence) -> frozenset[Var]:
-    node = node_at(p, occ)
-    assert isinstance(node, Opt)
-    return pattern_vars(node.right) - pattern_vars(node.left)
+def _unions_before(leaf_masks: list[int]) -> list[int]:
+    # Entry i: the variables of leaves [0, i), i.e. those whose first leaf is before i.
+    return list(accumulate(leaf_masks, or_, initial=0))
 
 
 def is_well_designed(p: Pattern) -> bool:
     """Check the well-designedness restriction on OPT variables.
 
-    For every OPT occurrence, each variable introduced by its right argument
-    must occur in the whole pattern only within that occurrence's subtree.
+    For every OPT node, each variable introduced by its right argument must
+    occur in the whole pattern only within that node's subtree: its first
+    leaf is at or after the node's lo and its last leaf before its hi.
     """
-    sites = _var_leaf_sites(p)
-    for occ in opt_occurrences(p):
-        prefix = occ.path
-        for v in _fresh_right_vars(p, occ):
-            for site in sites.get(v, ()):
-                if site[: len(prefix)] != prefix:
-                    return False
-    return True
+    spans, leaf_masks = _opt_spans(p)
+    before = _unions_before(leaf_masks)
+    after = _unions_before(leaf_masks[::-1])[::-1]  # entry i: the variables of leaves [i, n)
+    return all(not fresh & (before[lo] | after[hi]) for lo, hi, fresh in spans)
 
 
 def is_weakly_well_designed(p: Pattern) -> bool:
     """Check the weaker restriction that permits dominated re-use.
 
-    A variable introduced by an OPT occurrence's right argument may also
-    occur outside that occurrence, but only at leaves the occurrence
-    dominates. A leaf site is dominated exactly when the lowest common
-    ancestor of site and occurrence branches left towards the occurrence and
-    right towards the site, which is what the positional check below tests.
+    A variable introduced by an OPT node's right argument may also occur
+    outside that node, but only at leaves the node dominates. A leaf is
+    dominated exactly when the lowest common ancestor of leaf and node
+    branches left towards the node and right towards the leaf, that is, when
+    the leaf lies right of the node's subtree. So every such variable's first
+    leaf must be at or after the node's lo.
     """
-    sites = _var_leaf_sites(p)
-    for occ in opt_occurrences(p):
-        prefix = occ.path
-        for v in _fresh_right_vars(p, occ):
-            for site in sites.get(v, ()):
-                if site[: len(prefix)] == prefix:
-                    continue  # inside the occurrence itself
-                k = 0
-                limit = min(len(prefix), len(site))
-                while k < limit and prefix[k] == site[k]:
-                    k += 1
-                if not (k < len(prefix) and k < len(site) and prefix[k] == LEFT and site[k] == RIGHT):
-                    return False
-    return True
+    spans, leaf_masks = _opt_spans(p)
+    before = _unions_before(leaf_masks)
+    return all(not fresh & before[lo] for lo, _, fresh in spans)
 
 
 # --- text syntax ------------------------------------------------------------
@@ -261,8 +197,11 @@ def is_weakly_well_designed(p: Pattern) -> bool:
 # explicitly parenthesized; there are no precedence rules.
 
 
-# One token each: punctuation, a variable, a word, or a character no token starts with.
-_TOKEN_RE = re.compile(r"[{}().]|\?\w*|\w+|\S")
+# One token each, after the whitespace before it: punctuation, a variable, a
+# word, a character no token starts with, or the end of input (""). The end
+# alternative means no match attempt fails, so a trailing whitespace run is
+# not rescanned from each of its positions.
+_TOKEN_RE = re.compile(r"\s*([{}().]|\?\w*|\w+|\S|\Z)")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _PUNCT = frozenset("{}().")
 
@@ -287,8 +226,8 @@ def _token_error(tok: str) -> str | None:
 
 
 def _error_at(source: str, k: int, message: str) -> ParseError:
-    # Token k's line and column; k == number of tokens is the end of input.
-    pos = [*(m.start() for m in _TOKEN_RE.finditer(source)), len(source)][k]
+    # Token k's line and column.
+    pos = [m.start(1) for m in _TOKEN_RE.finditer(source)][k]
     return ParseError(message, source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos))
 
 
@@ -297,8 +236,7 @@ def parse_pattern(text: str) -> Pattern:
     is bounded only by memory. Raises ParseError with a 1-based line and
     column; a malformed token anywhere is reported before any grammar error."""
     source = _COMMENT_RE.sub("", text)  # a comment moves no column
-    tokens = _TOKEN_RE.findall(source)
-    tokens.append("")  # end of input
+    tokens = _TOKEN_RE.findall(source)  # ends with "", the end of input
     terms: dict[str, Term] = {}  # one Iri or Var per distinct token
 
     def term(tok: str) -> Term:

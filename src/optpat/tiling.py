@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 _TILE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -44,6 +45,19 @@ class TilingInstance:
     def _incompatible(self, compat: frozenset[Pair]) -> list[Pair]:
         # Row-major over the tile list order, so "the i'th pair" is stable.
         return [(a, b) for a in self.tiles for b in self.tiles if (a, b) not in compat]
+
+    @cached_property
+    def _successors(self) -> tuple[list[dict[int, None]], list[dict[int, None]]]:
+        """Per tile index, the indices of the tiles that may sit right of it
+        and above it: dicts used as sets that keep instance order."""
+
+        def table(compat: frozenset[Pair]) -> list[dict[int, None]]:
+            return [
+                dict.fromkeys(j for j, b in enumerate(self.tiles) if (a, b) in compat)
+                for a in self.tiles
+            ]
+
+        return table(self.h_compat), table(self.v_compat)
 
     def h_incompatible(self) -> list[Pair]:
         return self._incompatible(self.h_compat)
@@ -186,43 +200,43 @@ def verify_periodic(inst: TilingInstance, pt: PeriodicTiling) -> bool:
 def _backtrack_grid(
     inst: TilingInstance, width: int, height: int, wrap: bool
 ) -> tuple[tuple[str, ...], ...] | None:
-    """Fill cells in row-major order, trying tiles in instance order."""
-    cells: list[str | None] = [None] * (width * height)
+    """Fill cells in row-major order, trying tiles in instance order, over an
+    explicit stack of per-cell candidate iterators."""
+    right, above = inst._successors
+    last_x, last_y = width - 1, height - 1
+    cells = [0] * (width * height)
 
-    def at(x: int, y: int) -> str:
-        value = cells[y * width + x]
-        assert value is not None
-        return value
-
-    def ok(x: int, y: int, tile: str) -> bool:
-        if x > 0 and (at(x - 1, y), tile) not in inst.h_compat:
-            return False
-        if y > 0 and (at(x, y - 1), tile) not in inst.v_compat:
-            return False
-        if wrap:
-            if x == width - 1 and (tile, at(0, y) if width > 1 else tile) not in inst.h_compat:
-                return False
-            if y == height - 1 and (tile, at(x, 0) if height > 1 else tile) not in inst.v_compat:
-                return False
-        return True
-
-    def fill(i: int) -> bool:
-        if i == width * height:
-            return True
+    def candidates(i: int) -> Iterator[int]:
+        # Tile indices, in instance order, that fit the cells already filled.
         x, y = i % width, i // width
-        for tile in inst.tiles:
-            if ok(x, y, tile):
-                cells[i] = tile
-                if fill(i + 1):
-                    return True
-                cells[i] = None
-        return False
+        if x:
+            found = right[cells[i - 1]]
+            if y:
+                up = above[cells[i - width]]
+                found = [t for t in found if t in up]
+        else:
+            found = above[cells[i - width]] if y else range(len(right))
+        if wrap and x == last_x:  # the row's first cell, or this one, is its right neighbour
+            found = [t for t in found if (cells[i - last_x] if x else t) in right[t]]
+        if wrap and y == last_y:  # the column's bottom cell, or this one, is above it
+            found = [t for t in found if (cells[x] if y else t) in above[t]]
+        return iter(found)
 
-    if not fill(0):
-        return None
-    return tuple(
-        tuple(at(x, y) for x in range(width)) for y in range(height)
-    )
+    tries = [candidates(0)]
+    while tries:
+        i = len(tries) - 1
+        tile = next(tries[i], None)
+        if tile is None:
+            tries.pop()
+            continue
+        cells[i] = tile
+        if i == len(cells) - 1:
+            return tuple(
+                tuple(inst.tiles[t] for t in cells[y * width : (y + 1) * width])
+                for y in range(height)
+            )
+        tries.append(candidates(i + 1))
+    return None
 
 
 def find_periodic(inst: TilingInstance, max_p: int, max_q: int) -> PeriodicTiling | None:

@@ -6,10 +6,11 @@ machinery, the join applies the two-clause set-builder definition over
 plain dicts, and the candidate stream materialises each triple-count level,
 sorts it and filters fresh-IRI orbits graph by graph; the orbit table scans
 each triple's fresh IRIs one call per entry; a triple's relevance to a
-search is read off the enumeration oracle on the one-triple graph; and the
+search is read off the enumeration oracle on the one-triple graph; the
 pattern parser is a character-by-character tokenizer feeding a recursive
-descent. Nothing here reuses the library's classifier, join, matcher,
-candidate-generation or parsing code.
+descent; and the tile backtracker recurses once per cell. Nothing here
+reuses the library's classifier, join, matcher, candidate-generation,
+parsing or tiling-search code.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from optpat import (
     Triple,
     TriplePattern,
     Var,
+    TilingInstance,
     Verdict,
     evaluate_oracle,
 )
@@ -385,3 +387,48 @@ def parse_pattern_reference(text: str) -> Pattern:
     if trailing.kind != "eof":
         raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.line, trailing.col)
     return p
+
+
+# --- the recursive tile backtracker of the first releases, kept verbatim ----
+
+
+def _backtrack_grid(
+    inst: TilingInstance, width: int, height: int, wrap: bool
+) -> tuple[tuple[str, ...], ...] | None:
+    """Fill cells in row-major order, trying tiles in instance order."""
+    cells: list[str | None] = [None] * (width * height)
+
+    def at(x: int, y: int) -> str:
+        value = cells[y * width + x]
+        assert value is not None
+        return value
+
+    def ok(x: int, y: int, tile: str) -> bool:
+        if x > 0 and (at(x - 1, y), tile) not in inst.h_compat:
+            return False
+        if y > 0 and (at(x, y - 1), tile) not in inst.v_compat:
+            return False
+        if wrap:
+            if x == width - 1 and (tile, at(0, y) if width > 1 else tile) not in inst.h_compat:
+                return False
+            if y == height - 1 and (tile, at(x, 0) if height > 1 else tile) not in inst.v_compat:
+                return False
+        return True
+
+    def fill(i: int) -> bool:
+        if i == width * height:
+            return True
+        x, y = i % width, i // width
+        for tile in inst.tiles:
+            if ok(x, y, tile):
+                cells[i] = tile
+                if fill(i + 1):
+                    return True
+                cells[i] = None
+        return False
+
+    if not fill(0):
+        return None
+    return tuple(
+        tuple(at(x, y) for x in range(width)) for y in range(height)
+    )

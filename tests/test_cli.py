@@ -6,9 +6,8 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from optpat import cli, parse_graph, parse_pattern, reduction, verify_witness
+from optpat import Opt, cli, parse_graph, parse_pattern, reduction, verify_witness
 from optpat.cli import main
-from optpat.pattern import opt_occurrences
 from optpat.reduction import WitnessPair
 
 from helpers import (
@@ -18,6 +17,7 @@ from helpers import (
     ONE_TILE_SELF_JSON,
     rand_instance,
 )
+from oracles import _occurrences
 
 
 @pytest.fixture()
@@ -231,10 +231,7 @@ class TestReduce:
         )
         assert result.exit_code == 0
         chain = parse_pattern((tmp_path / "Pprime.sp").read_text())
-        from optpat.pattern import node_at, occurrences
-        from optpat import Opt
-
-        opts = [o for o in occurrences(chain) if isinstance(node_at(chain, o), Opt)]
+        opts = [path for path, node in _occurrences(chain) if isinstance(node, Opt)]
         assert len(opts) == 2
 
     def test_collision_rename_noted_in_manifest(self, runner, tmp_path):
@@ -316,6 +313,14 @@ class TestTile:
         )
         assert json.loads(result.stdout) == {"untileable_certificate": None}
 
+    def test_certify_large_window_on_tileable(self, runner, workspace):
+        # One backtracking step per cell of a 40x40 window: no recursion.
+        result = runner.invoke(
+            main, ["tile", str(workspace / "checker.json"), "--certify-untileable", "--max-n", "40"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "no untileability certificate with n <= 40\n"
+
     def test_requires_exactly_one_mode(self, runner, workspace):
         assert runner.invoke(main, ["tile", str(workspace / "checker.json")]).exit_code == 2
         result = runner.invoke(
@@ -369,7 +374,8 @@ class TestReductionBuiltOnce:
         rng = random.Random(81)
         for _ in range(20):
             chain = reduction.build_p_prime(rand_instance(rng))
-            assert cli._opt_nodes(chain) == len(opt_occurrences(chain))
+            opts = [path for path, node in _occurrences(chain) if isinstance(node, Opt)]
+            assert cli._opt_nodes(chain) == len(opts)
 
 
 class TestInternalFailure:

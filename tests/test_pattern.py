@@ -1,6 +1,7 @@
-"""Pattern syntax, occurrence machinery, and the two classifiers."""
+"""Pattern syntax, the two classifiers, and the reference classifiers' occurrence machinery."""
 
 import random
+import time
 
 import pytest
 
@@ -8,24 +9,27 @@ from optpat import (
     BasicPattern,
     Iri,
     Leaf,
-    Occurrence,
     Opt,
     ParseError,
     Var,
-    dominates,
-    inside,
     is_weakly_well_designed,
     is_well_designed,
-    occurrences,
     parse_pattern,
     pattern_vars,
     serialize_pattern,
 )
 from optpat.analysis import _same_pattern
-from optpat.pattern import TriplePattern, leaf_occurrences, node_at
+from optpat.pattern import TriplePattern
 
-from helpers import rand_pattern, rand_pattern_nodes
-from oracles import parse_pattern_reference, wd_reference, wwd_reference
+from helpers import DEFAULT_VARS, rand_pattern, rand_pattern_nodes
+from oracles import (
+    _dominates,
+    _inside,
+    _occurrences,
+    parse_pattern_reference,
+    wd_reference,
+    wwd_reference,
+)
 
 
 def chain(*texts):
@@ -115,22 +119,39 @@ _FUZZ_PIECES = [
 ]
 
 
-def _fuzz_text(rng: random.Random) -> str:
+# Whitespace runs: spaces, tabs and form feeds, no-break, em and ideographic
+# spaces; and 2,000-character indents.
+_SHORT_RUNS = [" \t \x0c", "\x0c\x0c", "\t\t\t", "\u00a0\u00a0", "\u2003", "\u3000 \u3000"]
+_INDENTS = [" " * 2000, "\n" + " " * 2000, "\t" * 2000, "\n" + "\u3000" * 2000 + "\x0c"]
+
+
+def _fuzz_text(rng: random.Random, pieces: list[str] = _FUZZ_PIECES) -> str:
     if rng.random() < 0.3:
-        return "".join(rng.choice((" ", "", "\n")) + rng.choice(_FUZZ_PIECES)
+        return "".join(rng.choice((" ", "", "\n")) + rng.choice(pieces)
                        for _ in range(rng.randint(0, 12)))
     text = serialize_pattern(rand_pattern(rng, depth=3), pretty=rng.random() < 0.4)
     for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
         at = rng.randint(0, len(text))
         edit = rng.random()
         if edit < 0.4:
-            text = text[:at] + rng.choice(_FUZZ_PIECES) + text[at:]
+            text = text[:at] + rng.choice(pieces) + text[at:]
         elif edit < 0.6:
             text = text[:at] + text[at + rng.randint(1, 4):]
         elif edit < 0.8:
             text = text.replace("OPT", "", 1)  # a missing OPT
         else:
-            text += rng.choice((" ", "\n", "")) + rng.choice(_FUZZ_PIECES)  # trailing input
+            text += rng.choice((" ", "\n", "")) + rng.choice(pieces)  # trailing input
+    return text
+
+
+def _whitespace_fuzz_text(rng: random.Random) -> str:
+    """A fuzz text whose spaces become whitespace runs, with more runs put
+    between and inside tokens."""
+    text = _fuzz_text(rng, _FUZZ_PIECES + _SHORT_RUNS)
+    text = "".join(rng.choice(_SHORT_RUNS) if c == " " and rng.random() < 0.3 else c for c in text)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(_SHORT_RUNS + _INDENTS) + text[at:]
     return text
 
 
@@ -160,6 +181,22 @@ class TestParserAgainstReference:
         for kind in ("ok", "expected ident", "unexpected cha", "expected 'OPT'",
                      "unexpected tra", "expected term,", "invalid IRI na", "invalid variab"):
             assert kinds.get(kind, 0) >= 10, (kind, kinds)
+        rng = random.Random(49)
+        for _ in range(2000):
+            text = _whitespace_fuzz_text(rng)
+            expected = _parse_outcome(parse_pattern_reference, text)
+            assert _parse_outcome(parse_pattern, text) == expected, repr(text)
+
+    def test_long_trailing_whitespace_is_linear(self):
+        # A tokenizer that fails to match at the end of input would rescan a
+        # trailing whitespace run from each of its positions, in time quadratic
+        # in its length: tens of seconds on these inputs.
+        start = time.perf_counter()
+        assert len(parse_pattern("{ a p b }" + " " * 20_000).basic) == 1
+        with pytest.raises(ParseError) as err:
+            parse_pattern("(" + "\n" * 10_000 + " " * 10_000)
+        assert (err.value.line, err.value.column) == (10_001, 10_001)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSerialization:
@@ -192,78 +229,81 @@ class TestVars:
         assert pattern_vars(p) == frozenset({Var("x"), Var("y"), Var("z")})
 
 
+def _paths(p):
+    return [path for path, _ in _occurrences(p)]
+
+
 class TestOccurrences:
+    """The reference classifiers' occurrence machinery (`oracles`)."""
+
     def test_leaf(self):
-        assert occurrences(parse_pattern("{ }")) == [Occurrence()]
+        assert _paths(parse_pattern("{ }")) == [()]
 
     def test_single_opt(self):
-        occs = occurrences(parse_pattern("({ } OPT { })"))
-        assert occs == [Occurrence(), Occurrence(("L",)), Occurrence(("R",))]
+        assert _paths(parse_pattern("({ } OPT { })")) == [(), ("L",), ("R",)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_left_deep_chain_counts(self, k):
         p = chain(*(["{ }"] * (k + 1)))
-        assert len(occurrences(p)) == 2 * k + 1
+        assert len(_occurrences(p)) == 2 * k + 1
 
     def test_node_at_dangling_path(self):
-        with pytest.raises(ValueError):
-            node_at(parse_pattern("{ }"), Occurrence(("L",)))
+        assert ("L",) not in _paths(parse_pattern("{ }"))
 
 
 class TestInside:
     def test_descendant(self):
-        assert inside(Occurrence(("L", "R")), Occurrence(("L",)))
+        assert _inside(("L", "R"), ("L",))
 
     def test_reflexive(self):
-        o = Occurrence(("L",))
-        assert inside(o, o)
+        assert _inside(("L",), ("L",))
 
     def test_disjoint(self):
-        assert not inside(Occurrence(("L",)), Occurrence(("R",)))
+        assert not _inside(("L",), ("R",))
 
     def test_partial_order_on_random_pattern(self):
         rng = random.Random(44)
         for _ in range(30):
-            occs = occurrences(rand_pattern(rng))
+            occs = _paths(rand_pattern(rng))
             for o1 in occs:
-                assert inside(o1, o1)
+                assert _inside(o1, o1)
                 for o2 in occs:
-                    if inside(o1, o2) and inside(o2, o1):
+                    if _inside(o1, o2) and _inside(o2, o1):
                         assert o1 == o2
                     for o3 in occs:
-                        if inside(o1, o2) and inside(o2, o3):
-                            assert inside(o1, o3)
+                        if _inside(o1, o2) and _inside(o2, o3):
+                            assert _inside(o1, o3)
 
 
 class TestDominates:
     def test_left_dominates_right(self):
         p = parse_pattern("({ a p a } OPT { b q b })")
-        assert dominates(p, Occurrence(("L",)), Occurrence(("R",)))
+        assert _dominates(_occurrences(p), ("L",), ("R",))
 
     def test_asymmetry(self):
         p = parse_pattern("({ a p a } OPT { b q b })")
-        assert not dominates(p, Occurrence(("R",)), Occurrence(("L",)))
+        assert not _dominates(_occurrences(p), ("R",), ("L",))
 
     def test_nested_via_root(self):
         p = parse_pattern("(({ a p a } OPT { b q b }) OPT { c r c })")
-        assert dominates(p, Occurrence(("L", "R")), Occurrence(("R",)))
+        assert _dominates(_occurrences(p), ("L", "R"), ("R",))
 
     def test_never_self_dominates(self):
         rng = random.Random(45)
         for _ in range(50):
-            p = rand_pattern(rng)
-            for o in occurrences(p):
-                assert not dominates(p, o, o)
+            occs = _occurrences(rand_pattern(rng))
+            for o, _ in occs:
+                assert not _dominates(occs, o, o)
 
     def test_chain_prefix_dominates_later_leaves(self):
-        p = chain("{ a p a }", "{ b p b }", "{ c p c }", "{ d p d }")
-        leaf_occs = [occ for occ, _ in leaf_occurrences(p)]
+        occs = _occurrences(chain("{ a p a }", "{ b p b }", "{ c p c }", "{ d p d }"))
+        leaf_occs = [path for path, node in occs if isinstance(node, Leaf)]
         # every occurrence within the prefix before leaf i dominates leaf i
         for i, leaf in enumerate(leaf_occs[1:], start=1):
-            prefix_node = Occurrence(("L",) * (len(leaf_occs) - 1 - i + 1))
-            for occ in occurrences(p):
-                if inside(occ, prefix_node):
-                    assert dominates(p, occ, leaf)
+            prefix_node = ("L",) * (len(leaf_occs) - 1 - i + 1)
+            for occ, _ in occs:
+                if _inside(occ, prefix_node):
+                    assert _dominates(occs, occ, leaf)
 
 
 class TestWellDesigned:
@@ -315,6 +355,19 @@ class TestClassifiersAgainstReference:
             p = rand_pattern_nodes(rng, max_nodes=9)
             assert is_well_designed(p) == wd_reference(p)
             assert is_weakly_well_designed(p) == wwd_reference(p)
+
+    def test_seeded_sweep_with_branching_trees(self):
+        # Trees up to depth 6 over one to four variables shared across leaves.
+        rng = random.Random(61)
+        classes: dict[tuple[bool, bool], int] = {}
+        for _ in range(2000):
+            variables = DEFAULT_VARS[: rng.randint(1, 4)]
+            p = rand_pattern(rng, depth=rng.randint(1, 6), variables=variables)
+            found = (is_well_designed(p), is_weakly_well_designed(p))
+            assert found == (wd_reference(p), wwd_reference(p)), serialize_pattern(p)
+            classes[found] = classes.get(found, 0) + 1
+        for cls in ((True, True), (False, True), (False, False)):
+            assert classes.get(cls, 0) >= 100, classes
 
     def test_agreement_on_handpicked_corners(self):
         texts = [

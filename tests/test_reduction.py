@@ -1,6 +1,7 @@
 """Instance-to-pattern compilation, witness construction, and verification."""
 
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from optpat import (
     Iri,
     Leaf,
     Opt,
+    TilingInstance,
     Var,
     WitnessPair,
     build_p,
@@ -25,7 +27,6 @@ from optpat import (
     subsumed_mapping,
     verify_witness,
 )
-from optpat.pattern import node_at, occurrences
 from optpat.reduction import tile_iri_map
 from optpat.tiling import PeriodicTiling, replicate
 
@@ -35,6 +36,7 @@ from helpers import (
     ONE_TILE_EMPTY_JSON,
     ONE_TILE_SELF_JSON,
 )
+from oracles import _occurrences
 
 CHECKERBOARD = parse_instance(CHECKERBOARD_JSON)
 ONE_TILE_SELF = parse_instance(ONE_TILE_SELF_JSON)
@@ -103,18 +105,18 @@ class TestBuildPPrime:
         chain = build_p_prime(ONE_TILE_SELF)
         basics = leaf_basics(chain)
         assert len(basics) == 3  # root probe, one tile step, marker
-        opts = [o for o in occurrences(chain) if isinstance(node_at(chain, o), Opt)]
+        opts = [path for path, node in _occurrences(chain) if isinstance(node, Opt)]
         assert len(opts) == 2
 
     def test_structure_checkerboard(self):
         chain = build_p_prime(CHECKERBOARD)
-        opts = [o for o in occurrences(chain) if isinstance(node_at(chain, o), Opt)]
+        opts = [path for path, node in _occurrences(chain) if isinstance(node, Opt)]
         assert len(opts) == 7  # 2 + 2 incompatible pairs, 2 tiles, 1 marker
         assert len(leaf_basics(chain)) == 8
 
     def test_opt_nodes_sit_on_left_spine(self):
         chain = build_p_prime(CHECKERBOARD)
-        opts = {o.path for o in occurrences(chain) if isinstance(node_at(chain, o), Opt)}
+        opts = {path for path, node in _occurrences(chain) if isinstance(node, Opt)}
         assert opts == {("L",) * k for k in range(7)}
 
     def test_exact_leaves_for_one_tile_empty(self):
@@ -157,6 +159,26 @@ class TestBuildPPrime:
         assert is_weakly_well_designed(chain)
         assert not is_well_designed(chain)
         assert is_well_designed(build_p(inst))
+
+    def test_z7_chain_classifies_at_default_recursion_limit(self):
+        # Z_7 x Z_7: tile (i, j) steps to (i+1, j) horizontally and (i, j+1)
+        # vertically, so P' has 1 + 2 * (49^2 - 49) + 49 + 1 leaves.
+        tiles = [(i, j) for i in range(7) for j in range(7)]
+        name = lambda t: f"t{t[0]}_{t[1]}"
+        inst = TilingInstance(
+            tuple(map(name, tiles)),
+            frozenset((name((i, j)), name(((i + 1) % 7, j))) for i, j in tiles),
+            frozenset((name((i, j)), name((i, (j + 1) % 7))) for i, j in tiles),
+        )
+        chain = build_p_prime(inst)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert len(leaf_basics(chain)) == 4755
+            assert not is_well_designed(chain)
+            assert is_weakly_well_designed(chain)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestBuildWitness:

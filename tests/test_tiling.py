@@ -30,6 +30,7 @@ from helpers import (
     ONE_TILE_SELF_JSON,
     rand_instance,
 )
+from oracles import _backtrack_grid as backtrack_grid_reference
 
 CHECKERBOARD = parse_instance(CHECKERBOARD_JSON)
 ONE_TILE_SELF = parse_instance(ONE_TILE_SELF_JSON)
@@ -177,6 +178,51 @@ class TestInvariants:
         grown = replicate_to(pt, 2, 2)
         assert (grown.p, grown.q) == (2, 2)
         assert grown.rows == (("t", "t"), ("t", "t"))
+
+
+class TestAgainstRecursiveReference:
+    """The iterative backtracker against the first releases' recursive one
+    (`oracles._backtrack_grid`): the same first tiling, or none, everywhere."""
+
+    def test_seeded_sweep(self):
+        # 1-6 tiles, each pair compatible with a probability of 0.2-0.7.
+        rng = random.Random(91)
+        sizes = sorted(
+            ((p, q) for p in range(1, 5) for q in range(1, 5)),
+            key=lambda pq: (pq[0] * pq[1], pq[0], pq[1]),
+        )
+        found = {"periodic": 0, "untileable": 0}
+        for _ in range(300):
+            tiles = tuple(f"t{i}" for i in range(rng.randint(1, 6)))
+            density = rng.uniform(0.2, 0.7)
+            pairs = [(a, b) for a in tiles for b in tiles]
+            inst = TilingInstance(
+                tiles,
+                frozenset(p for p in pairs if rng.random() < density),
+                frozenset(p for p in pairs if rng.random() < density),
+            )
+            periodic = next(
+                (
+                    PeriodicTiling(p, q, rows)
+                    for p, q in sizes
+                    if (rows := backtrack_grid_reference(inst, p, q, True)) is not None
+                ),
+                None,
+            )
+            assert find_periodic(inst, 4, 4) == periodic, inst
+            for w in range(1, 4):
+                for h in range(1, 4):
+                    rows = backtrack_grid_reference(inst, w, h, False)
+                    expected = RectTiling(w, h, rows) if rows is not None else None
+                    assert find_rectangle(inst, w, h) == expected, (inst, w, h)
+            certificate = next(
+                (n for n in range(1, 6) if backtrack_grid_reference(inst, n, n, False) is None),
+                None,
+            )
+            assert certify_untileable(inst, 5) == certificate, inst
+            found["periodic"] += periodic is not None
+            found["untileable"] += certificate is not None
+        assert min(found.values()) >= 50, found
 
 
 class TestJson:
