@@ -13,8 +13,6 @@ from .analysis import (
     check_contained_on,
     check_equivalent_on,
     check_subsumed_on,
-    default_search_budget,
-    enumerate_graphs,
     find_containment_counterexample,
     find_equivalence_counterexample,
     find_subsumption_counterexample,
@@ -27,8 +25,6 @@ from .core import (
     ParseError,
     Triple,
     Var,
-    compatible,
-    merge,
     parse_graph,
     serialize_graph,
     subsumed_mapping,
@@ -49,7 +45,6 @@ from .pattern import (
     TriplePattern,
     is_weakly_well_designed,
     is_well_designed,
-    leaf_basics,
     parse_pattern,
     pattern_constants,
     pattern_vars,
@@ -66,7 +61,6 @@ from .tiling import (
     parse_instance,
     replicate,
     verify_periodic,
-    verify_rectangle,
 )
 
 __version__ = "0.1.0"
@@ -100,9 +94,6 @@ __all__ = [
     "check_contained_on",
     "check_equivalent_on",
     "check_subsumed_on",
-    "compatible",
-    "default_search_budget",
-    "enumerate_graphs",
     "evaluate",
     "evaluate_oracle",
     "find_containment_counterexample",
@@ -112,10 +103,8 @@ __all__ = [
     "find_subsumption_counterexample",
     "is_weakly_well_designed",
     "is_well_designed",
-    "leaf_basics",
     "left_outer_join",
     "match_basic",
-    "merge",
     "parse_graph",
     "parse_instance",
     "parse_pattern",
@@ -126,6 +115,5 @@ __all__ = [
     "serialize_pattern",
     "subsumed_mapping",
     "verify_periodic",
-    "verify_rectangle",
     "verify_witness",
 ]

@@ -18,9 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .core import Graph, Iri, Mapping, Triple, Var, subsumed_mapping
+from .core import Graph, Iri, Mapping, Triple, Var, serialize_graph, subsumed_mapping
 from .evaluation import SolutionSet, evaluate
-from .pattern import Opt, Pattern, TriplePattern, leftmost_basic, pattern_constants, pattern_vars
+from .pattern import Opt, Pattern, TriplePattern, leftmost_basic, pattern_constants
 
 
 class Status(enum.Enum):
@@ -65,8 +65,6 @@ class Verdict:
             raise ValueError("witness must be present exactly when status is violated")
 
     def to_jsonable(self) -> dict:
-        from .core import serialize_graph
-
         out: dict = {"status": self.status.value}
         if self.witness is not None:
             g, m = self.witness
@@ -127,20 +125,6 @@ def _triple_builder(vocab: Sequence[Iri]) -> Callable[[int], Triple]:
     """Triple i = (s·n + p)·n + o over the n-term vocabulary, each built once when first asked."""
     n = len(vocab)
     return functools.cache(lambda i: Triple(vocab[i // n // n], vocab[i // n % n], vocab[i % n]))
-
-
-def enumerate_graphs(vocabulary: Sequence[Iri], max_triples: int) -> Iterator[Graph]:
-    """Every graph with at most `max_triples` triples over the vocabulary,
-    exactly once, in nondecreasing triple count and a fixed deterministic
-    order (combinations of the vocabulary-ordered triple list)."""
-    vocab = list(dict.fromkeys(vocabulary))
-    if not vocab:
-        raise ValueError("vocabulary must be non-empty")
-    triple = _triple_builder(vocab)
-    step = _orbit_table(len(vocab), 0)
-    for count in range(min(max_triples, len(step[0])) + 1):
-        for combo in _orderly_walk(step, [frozenset()], count):
-            yield Graph(map(triple, combo))
 
 
 def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
@@ -217,7 +201,6 @@ def _candidate_stream(
     p2: Pattern,
     budget: SearchBudget,
     required_sets: Sequence[frozenset[Triple]],
-    start_position: tuple[int, int] | None = None,
 ) -> Iterator[tuple[tuple[int, int], Graph]]:
     """Candidate graphs in (triple count, ordinal) order, lazily.
 
@@ -226,8 +209,7 @@ def _candidate_stream(
     turn needs that pattern's leftmost-leaf ground triples present, so the
     skipped graphs can never be counterexamples. Graphs differing from an
     earlier candidate only by a permutation of fresh IRIs are skipped too;
-    pattern semantics cannot tell such graphs apart. Positions at or before
-    `start_position` are counted but not built; lower levels are not walked.
+    pattern semantics cannot tell such graphs apart.
     """
     constants = sorted(pattern_constants(p) | pattern_constants(p2))
     fresh = _fresh_iris(budget.max_fresh_iris, {c.name for c in constants})
@@ -236,25 +218,9 @@ def _candidate_stream(
     step = _orbit_table(len(constants), len(fresh))
     required = [frozenset((at[t.subject] * n + at[t.predicate]) * n + at[t.object] for t in r)
                 for r in required_sets]
-    first = 0 if start_position is None else max(start_position[0], 0)
-    for count in range(first, budget.max_triples + 1):
+    for count in range(budget.max_triples + 1):
         for ordinal, combo in enumerate(_orderly_walk(step, required, count)):
-            if start_position is None or (count, ordinal) > start_position:
-                yield (count, ordinal), Graph(map(triple, combo))
-
-
-def default_search_budget(
-    p: Pattern,
-    p2: Pattern,
-    max_triples: int = 3,
-    max_candidates: int = 100_000,
-) -> SearchBudget:
-    """Default fresh-IRI supply: one per variable of either pattern."""
-    return SearchBudget(
-        max_triples=max_triples,
-        max_fresh_iris=len(pattern_vars(p) | pattern_vars(p2)),
-        max_candidates=max_candidates,
-    )
+            yield (count, ordinal), Graph(map(triple, combo))
 
 
 def _same_pattern(p: Pattern, p2: Pattern) -> bool:
@@ -314,7 +280,6 @@ def _search(
     budget: SearchBudget,
     check: Callable[[Pattern, Pattern, Graph], Verdict],
     required_sets: Sequence[frozenset[Triple]],
-    start_position: tuple[int, int] | None,
 ) -> Verdict:
     """Check the stream's candidates in order up to the first violation.
 
@@ -322,22 +287,21 @@ def _search(
     side's solutions, so a candidate holding one has the verdict of its
     relevant part G_r. Up to a renaming of fresh IRIs, G_r is a smaller
     candidate: the required triples are ground leaf triples, so it keeps
-    them. When G_r's level lies above the resume level, G_r was checked
-    earlier in this search and was no violation; the candidate is then
-    counted as examined without being evaluated.
+    them. G_r has fewer triples, so it was checked earlier in this search
+    and was no violation; the candidate is counted as examined without
+    being evaluated.
     """
     examined, position, witness = 0, None, None
     p2 = p if _same_pattern(p, p2) else p2  # equal sides: one evaluation per candidate
-    resume_level = -1 if start_position is None else start_position[0]
     relevant = None  # built at the first candidate of two or more triples
-    stream = _candidate_stream(p, p2, budget, required_sets, start_position)
+    stream = _candidate_stream(p, p2, budget, required_sets)
     for position, g in itertools.islice(stream, budget.max_candidates):
         examined += 1
         if len(g.triples) > 1:
             if relevant is None:
                 relevant = _relevance(p, p2)
             kept = sum(map(relevant, g.triples))
-            if resume_level < kept < len(g.triples):
+            if kept < len(g.triples):
                 continue
         witness = check(p, p2, g).witness
         if witness is not None:
@@ -346,39 +310,23 @@ def _search(
     return Verdict(status, witness, candidates_examined=examined, budget=budget, position=position)
 
 
-def find_subsumption_counterexample(
-    p: Pattern,
-    p2: Pattern,
-    budget: SearchBudget,
-    start_position: tuple[int, int] | None = None,
-) -> Verdict:
+def find_subsumption_counterexample(p: Pattern, p2: Pattern, budget: SearchBudget) -> Verdict:
     """Search for a graph on which some solution of p has no extension in p2.
 
     Candidates are checked in the deterministic stream order; the reported
-    witness is the first one. `start_position` resumes a previous search
-    after the given (triple count, ordinal) position.
+    witness is the first one.
     """
     required = [leftmost_basic(p).ground_triples()]
-    return _search(p, p2, budget, check_subsumed_on, required, start_position)
+    return _search(p, p2, budget, check_subsumed_on, required)
 
 
-def find_containment_counterexample(
-    p: Pattern,
-    p2: Pattern,
-    budget: SearchBudget,
-    start_position: tuple[int, int] | None = None,
-) -> Verdict:
+def find_containment_counterexample(p: Pattern, p2: Pattern, budget: SearchBudget) -> Verdict:
     required = [leftmost_basic(p).ground_triples()]
-    return _search(p, p2, budget, check_contained_on, required, start_position)
+    return _search(p, p2, budget, check_contained_on, required)
 
 
-def find_equivalence_counterexample(
-    p: Pattern,
-    p2: Pattern,
-    budget: SearchBudget,
-    start_position: tuple[int, int] | None = None,
-) -> Verdict:
+def find_equivalence_counterexample(p: Pattern, p2: Pattern, budget: SearchBudget) -> Verdict:
     """Both containment directions are checked on every candidate, so the
     candidate stream must cover graphs where either side could be nonempty."""
     required = [leftmost_basic(p).ground_triples(), leftmost_basic(p2).ground_triples()]
-    return _search(p, p2, budget, check_equivalent_on, required, start_position)
+    return _search(p, p2, budget, check_equivalent_on, required)

@@ -78,6 +78,19 @@ def _sha256(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
+def _report(ctx: click.Context, document, paths: list[str], before=(), after=()) -> None:
+    """With --json, the document on stdout and a `wrote` line per path on
+    stderr; otherwise the text lines, with the `wrote` lines between them,
+    on stdout."""
+    if ctx.obj["json"]:
+        click.echo(json.dumps(document, indent=2, sort_keys=True))
+        for path in paths:
+            click.echo(f"wrote {path}", err=True)
+    else:
+        for line in [*before, *(f"wrote {path}" for path in paths), *after]:
+            click.echo(line)
+
+
 class _Group(click.Group):
     """Reports an unexpected exception as one line with exit 2, so a crash
     never reads as exit 1 ("violated"), with or without standalone mode."""
@@ -143,15 +156,19 @@ def cmd_classify(ctx: click.Context, pattern_path: str) -> None:
         click.echo(f"weakly_well_designed: {str(report['weakly_well_designed']).lower()}")
 
 
+_NONNEGATIVE = click.IntRange(min=0)
+_POSITIVE = click.IntRange(min=1)
+
+
 def _budget_options(fn):
-    fn = click.option("--max-triples", type=int, default=3, show_default=True)(fn)
+    fn = click.option("--max-triples", type=_NONNEGATIVE, default=3, show_default=True)(fn)
     fn = click.option(
         "--max-fresh",
-        type=int,
+        type=_NONNEGATIVE,
         default=None,
         help="Fresh IRIs for the search [default: one per pattern variable].",
     )(fn)
-    fn = click.option("--max-candidates", type=int, default=100_000, show_default=True)(fn)
+    fn = click.option("--max-candidates", type=_NONNEGATIVE, default=100_000, show_default=True)(fn)
     return fn
 
 
@@ -172,33 +189,23 @@ def _run_relation_command(
         verdict = check(p, p2, _load(on_graph, parse_graph))
     else:
         fresh = max_fresh if max_fresh is not None else len(pattern_vars(p) | pattern_vars(p2))
-        try:
-            budget = analysis.SearchBudget(max_triples, fresh, max_candidates)
-        except ValueError as exc:
-            _fail(str(exc))
-        verdict = find(p, p2, budget)
+        verdict = find(p, p2, analysis.SearchBudget(max_triples, fresh, max_candidates))
 
+    lines = [f"status: {verdict.status.value}"]
+    if verdict.candidates_examined is not None:
+        lines.append(f"candidates_examined: {verdict.candidates_examined}")
     written: list[str] = []
-    if verdict.status is analysis.Status.VIOLATED:
+    if verdict.witness is not None:
         graph, mapping = verdict.witness
+        bindings = mapping.to_jsonable()
+        lines.append(f"witness_mapping: {json.dumps(bindings, sort_keys=True)}")
         files = {"counterexample.nt": serialize_graph(graph)}
-        files["counterexample_mapping.json"] = _dumps(mapping.to_jsonable())
+        files["counterexample_mapping.json"] = _dumps(bindings)
         written = _write_files(ctx.obj["out"], files)
-
-    if ctx.obj["json"]:
-        click.echo(json.dumps(verdict.to_jsonable(), indent=2, sort_keys=True))
-        for path in written:
-            click.echo(f"wrote {path}", err=True)
-    else:
-        click.echo(f"status: {verdict.status.value}")
-        if verdict.candidates_examined is not None:
-            click.echo(f"candidates_examined: {verdict.candidates_examined}")
-        if verdict.status is analysis.Status.VIOLATED:
-            _, mapping = verdict.witness
-            click.echo(f"witness_mapping: {json.dumps(mapping.to_jsonable(), sort_keys=True)}")
-        for path in written:
-            click.echo(f"wrote {path}")
-    sys.exit(1 if verdict.status is analysis.Status.VIOLATED else 0)
+    # The verdict's JSON repeats the witness graph's text; build it only when printed.
+    document = verdict.to_jsonable() if ctx.obj["json"] else None
+    _report(ctx, document, written, lines)
+    sys.exit(0 if verdict.witness is None else 1)
 
 
 def _relation_command(name: str, help_text: str, check, find):
@@ -283,18 +290,12 @@ def cmd_reduce(ctx: click.Context, instance_path: str) -> None:
     manifest = _reduction_manifest(inst, p_prime, files)
     files["manifest.json"] = _dumps(manifest)
     paths = _write_files(ctx.obj["out"], files)
-    if ctx.obj["json"]:
-        click.echo(json.dumps(manifest, indent=2, sort_keys=True))
-        for path in paths:
-            click.echo(f"wrote {path}", err=True)
-    else:
-        for path in paths:
-            click.echo(f"wrote {path}")
-        counts = manifest["counts"]
-        click.echo(
-            f"tiles: {counts['tiles']}  h_incompatible: {counts['h_incompatible']}  "
-            f"v_incompatible: {counts['v_incompatible']}  opt_nodes: {counts['opt_nodes']}"
-        )
+    counts = manifest["counts"]
+    summary = (
+        f"tiles: {counts['tiles']}  h_incompatible: {counts['h_incompatible']}  "
+        f"v_incompatible: {counts['v_incompatible']}  opt_nodes: {counts['opt_nodes']}"
+    )
+    _report(ctx, manifest, paths, after=[summary])
 
 
 def _obtain_tiling(
@@ -329,7 +330,7 @@ def _witness_files(
 @click.argument("instance_path", type=click.Path(exists=False))
 @click.option("--tiling", "tiling_path", type=click.Path(exists=False), default=None,
               help="Use this periodic tiling JSON instead of searching.")
-@click.option("--max-period", type=int, default=6, show_default=True)
+@click.option("--max-period", type=_POSITIVE, default=6, show_default=True)
 @click.pass_context
 def cmd_witness(ctx: click.Context, instance_path: str, tiling_path: str | None, max_period: int) -> None:
     """Build and verify the non-subsumption witness for an instance."""
@@ -341,26 +342,19 @@ def cmd_witness(ctx: click.Context, instance_path: str, tiling_path: str | None,
     p, p_prime = reduction.build_p(inst), reduction.build_p_prime(inst)
     files, used, verified = _witness_files(inst, pt, p, p_prime)
     paths = _write_files(ctx.obj["out"], files)
-    if ctx.obj["json"]:
-        click.echo(
-            json.dumps(
-                {
-                    "verified": verified,
-                    "p": used.p,
-                    "q": used.q,
-                    "files": {name: {"sha256": _sha256(data)} for name, data in files.items()},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        for path in paths:
-            click.echo(f"wrote {path}", err=True)
-    else:
-        click.echo(f"periodic tiling: p={used.p} q={used.q}")
-        for path in paths:
-            click.echo(f"wrote {path}")
-        click.echo(f"verified: {str(verified).lower()}")
+    document = {
+        "verified": verified,
+        "p": used.p,
+        "q": used.q,
+        "files": {name: {"sha256": _sha256(data)} for name, data in files.items()},
+    }
+    _report(
+        ctx,
+        document,
+        paths,
+        before=[f"periodic tiling: p={used.p} q={used.q}"],
+        after=[f"verified: {str(verified).lower()}"],
+    )
     sys.exit(0 if verified else 1)
 
 
@@ -368,8 +362,8 @@ def cmd_witness(ctx: click.Context, instance_path: str, tiling_path: str | None,
 @click.argument("instance_path", type=click.Path(exists=False))
 @click.option("--find-periodic", "mode_periodic", is_flag=True)
 @click.option("--certify-untileable", "mode_certify", is_flag=True)
-@click.option("--max-period", type=int, default=6, show_default=True)
-@click.option("--max-n", type=int, default=6, show_default=True)
+@click.option("--max-period", type=_POSITIVE, default=6, show_default=True)
+@click.option("--max-n", type=_POSITIVE, default=6, show_default=True)
 @click.pass_context
 def cmd_tile(
     ctx: click.Context,
@@ -410,8 +404,8 @@ def cmd_tile(
 
 @main.command("pipeline")
 @click.argument("instance_path", type=click.Path(exists=False))
-@click.option("--max-period", type=int, default=6, show_default=True)
-@click.option("--max-n", type=int, default=6, show_default=True)
+@click.option("--max-period", type=_POSITIVE, default=6, show_default=True)
+@click.option("--max-n", type=_POSITIVE, default=6, show_default=True)
 @click.pass_context
 def cmd_pipeline(ctx: click.Context, instance_path: str, max_period: int, max_n: int) -> None:
     """Chain reduce, tiling search, witness construction, and verification."""
@@ -434,21 +428,13 @@ def cmd_pipeline(ctx: click.Context, instance_path: str, max_period: int, max_n:
     files["manifest.json"] = _dumps(manifest)
     paths = _write_files(ctx.obj["out"], files)
 
-    if ctx.obj["json"]:
-        click.echo(json.dumps(manifest, indent=2, sort_keys=True))
-        for path in paths:
-            click.echo(f"wrote {path}", err=True)
+    if pt is None:
+        after = [f"no periodic tiling with p <= {max_period}, q <= {max_period}"]
+        if certificate is not None:
+            after.append(f"untileable: no {certificate}x{certificate} rectangle tiling exists")
     else:
-        for path in paths:
-            click.echo(f"wrote {path}")
-        if pt is None:
-            click.echo(f"no periodic tiling with p <= {max_period}, q <= {max_period}")
-            if certificate is not None:
-                click.echo(f"untileable: no {certificate}x{certificate} rectangle tiling exists")
-        else:
-            click.echo(f"periodic tiling: p={used.p} q={used.q}")
-            click.echo(f"verified: {str(verified).lower()}")
-
+        after = [f"periodic tiling: p={used.p} q={used.q}", f"verified: {str(verified).lower()}"]
+    _report(ctx, manifest, paths, after=after)
     if pt is None:
         sys.exit(3)
     sys.exit(0 if verified else 1)

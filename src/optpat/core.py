@@ -2,10 +2,9 @@
 
 IRIs are bare ASCII identifiers (no angle brackets or namespaces), and the
 graph text format is a line-oriented N-Triples subset. Everything here is
-immutable and hashable. The mapping algebra (`compatible`, `subsumed_mapping`,
-`merge`) defines the operations on solutions; the analysis routines use
-`subsumed_mapping`, and the evaluator's hash join yields exactly the merges
-of compatible pairs without testing pairs one by one.
+immutable and hashable. `subsumed_mapping` is the extension test the
+subsumption checks use; the evaluator's hash join yields exactly the unions
+of compatible mappings without testing pairs one by one.
 """
 
 from __future__ import annotations
@@ -177,9 +176,6 @@ class Mapping:
     def items(self) -> tuple[tuple[Var, Iri], ...]:
         return self._items
 
-    def as_dict(self) -> dict[Var, Iri]:
-        return dict(self._dict)
-
     def __len__(self) -> int:
         return len(self._dict)
 
@@ -205,28 +201,9 @@ class Mapping:
 EMPTY_MAPPING = Mapping()
 
 
-def compatible(m1: Mapping, m2: Mapping) -> bool:
-    """True iff the mappings agree on every shared variable."""
-    small, big = (m1, m2) if len(m1) <= len(m2) else (m2, m1)
-    for v, i in small.items():
-        other = big.get(v)
-        if other is not None and other != i:
-            return False
-    return True
-
-
 def subsumed_mapping(m1: Mapping, m2: Mapping) -> bool:
     """True iff m2 extends m1: compatible and Dom(m1) is a subset of Dom(m2)."""
     return all(m2.get(v) == i for v, i in m1.items())
-
-
-def merge(m1: Mapping, m2: Mapping) -> Mapping:
-    """Union of two compatible mappings; raises ValueError if they conflict."""
-    if not compatible(m1, m2):
-        raise ValueError(f"cannot merge incompatible mappings {m1!r} and {m2!r}")
-    d = m1.as_dict()
-    d.update(m2.items())
-    return Mapping(d)
 
 
 def parse_graph(text: str) -> Graph:

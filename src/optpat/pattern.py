@@ -102,19 +102,6 @@ def pattern_constants(p: Pattern) -> frozenset[Iri]:
     return pattern_constants(p.left) | pattern_constants(p.right)
 
 
-def leaf_basics(p: Pattern) -> list[BasicPattern]:
-    """The leaves' basic patterns, left to right."""
-    out: list[BasicPattern] = []
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.basic)
-        else:
-            stack += (node.right, node.left)
-    return out
-
-
 def leftmost_basic(p: Pattern) -> BasicPattern:
     node = p
     while isinstance(node, Opt):

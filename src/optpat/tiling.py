@@ -267,22 +267,6 @@ def find_rectangle(inst: TilingInstance, width: int, height: int) -> RectTiling 
     return RectTiling(width, height, rows)
 
 
-def verify_rectangle(inst: TilingInstance, rt: RectTiling) -> bool:
-    known = set(inst.tiles)
-    for row in rt.rows:
-        for t in row:
-            if t not in known:
-                raise ValueError(f"grid uses unknown tile {t!r}")
-    for y in range(rt.height):
-        for x in range(rt.width):
-            here = rt.tile(x, y)
-            if x + 1 < rt.width and (here, rt.tile(x + 1, y)) not in inst.h_compat:
-                return False
-            if y + 1 < rt.height and (here, rt.tile(x, y + 1)) not in inst.v_compat:
-                return False
-    return True
-
-
 def certify_untileable(inst: TilingInstance, max_n: int) -> int | None:
     """Smallest n <= max_n such that no n x n rectangle can be tiled.
 

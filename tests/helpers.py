@@ -1,4 +1,4 @@
-"""Shared test helpers: shorthand constructors and seeded random generators.
+"""Shared test helpers: shorthand constructors, a leaf lister and seeded random generators.
 
 The random generators stay within desk-scale bounds (pattern depth <= 4,
 <= 3 triples per leaf, <= 4 variables, <= 3 constants) so the definitional
@@ -31,6 +31,19 @@ DEFAULT_CONSTS = tuple(Iri(name) for name in ("a", "b", "c"))
 def M(bindings: dict[str, str]) -> Mapping:
     """Mapping from {"?x": "a"} style dicts."""
     return Mapping({Var(k.lstrip("?")): Iri(v) for k, v in bindings.items()})
+
+
+def leaf_basics(p: Pattern) -> list[BasicPattern]:
+    """The leaves' basic patterns, left to right."""
+    out: list[BasicPattern] = []
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node.basic)
+        else:
+            stack += (node.right, node.left)
+    return out
 
 
 def rand_graph(rng: random.Random, iris, max_triples: int) -> Graph:

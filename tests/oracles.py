@@ -3,14 +3,15 @@
 These are deliberately literal: the classifiers enumerate every
 (OPT occurrence, variable, occurrence) combination with their own path
 machinery, the join applies the two-clause set-builder definition over
-plain dicts, and the candidate stream materialises each triple-count level,
+plain dicts, the graph enumerator takes combinations of the full triple
+list, and the candidate stream materialises each triple-count level,
 sorts it and filters fresh-IRI orbits graph by graph; the orbit table scans
 each triple's fresh IRIs one call per entry; a triple's relevance to a
 search is read off the enumeration oracle on the one-triple graph; the
 pattern parser is a character-by-character tokenizer feeding a recursive
-descent; and the tile backtracker recurses once per cell. Nothing here
-reuses the library's classifier, join, matcher, candidate-generation,
-parsing or tiling-search code.
+descent; the tile backtracker recurses once per cell, and rectangles are
+checked cell by cell. Nothing here reuses the library's classifier, join,
+matcher, candidate-generation, parsing or tiling-search code.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from optpat import (
     Triple,
     TriplePattern,
     Var,
+    RectTiling,
     TilingInstance,
     Verdict,
     evaluate_oracle,
@@ -132,6 +134,19 @@ def _all_triples(vocabulary: Sequence[Iri]) -> list[Triple]:
     return [Triple(s, p, o) for s in vocabulary for p in vocabulary for o in vocabulary]
 
 
+def enumerate_graphs(vocabulary: Sequence[Iri], max_triples: int) -> Iterator[Graph]:
+    """Every graph with at most `max_triples` triples over the vocabulary,
+    exactly once, in nondecreasing triple count and a fixed deterministic
+    order (combinations of the vocabulary-ordered triple list)."""
+    vocab = list(dict.fromkeys(vocabulary))
+    if not vocab:
+        raise ValueError("vocabulary must be non-empty")
+    triples = _all_triples(vocab)
+    for count in range(max_triples + 1):
+        for combo in itertools.combinations(triples, count):
+            yield Graph(combo)
+
+
 def _fresh_iris(count: int, avoid: set[str]) -> list[Iri]:
     prefix = "f"
     pattern = re.compile(re.escape(prefix) + r"\d+\Z")
@@ -219,16 +234,12 @@ def search_reference(
     budget: SearchBudget,
     check: Callable[[Pattern, Pattern, Graph], Verdict],
     required_sets: Sequence[frozenset[Triple]],
-    start_position: tuple[int, int] | None,
 ) -> Verdict:
-    """Bounded search over `candidate_stream_reference`: skip positions up
-    to `start_position`, check at most `max_candidates`, stop at the first
-    violation."""
+    """Bounded search over `candidate_stream_reference`: check at most
+    `max_candidates`, stop at the first violation."""
     examined = 0
     last: tuple[int, int] | None = None
     for position, g in candidate_stream_reference(p, p2, budget, required_sets):
-        if start_position is not None and position <= start_position:
-            continue
         if examined >= budget.max_candidates:
             break
         examined += 1
@@ -432,3 +443,21 @@ def _backtrack_grid(
     return tuple(
         tuple(at(x, y) for x in range(width)) for y in range(height)
     )
+
+
+def verify_rectangle(inst: TilingInstance, rt: RectTiling) -> bool:
+    """Every tile is the instance's, and every horizontally and vertically
+    adjacent pair is compatible; no wraparound."""
+    known = set(inst.tiles)
+    for row in rt.rows:
+        for t in row:
+            if t not in known:
+                raise ValueError(f"grid uses unknown tile {t!r}")
+    for y in range(rt.height):
+        for x in range(rt.width):
+            here = rt.tile(x, y)
+            if x + 1 < rt.width and (here, rt.tile(x + 1, y)) not in inst.h_compat:
+                return False
+            if y + 1 < rt.height and (here, rt.tile(x, y + 1)) not in inst.v_compat:
+                return False
+    return True

@@ -20,7 +20,6 @@ from optpat import (
     build_p_prime,
     build_witness,
     certify_untileable,
-    enumerate_graphs,
     evaluate,
     evaluate_oracle,
     find_containment_counterexample,
@@ -28,7 +27,6 @@ from optpat import (
     find_subsumption_counterexample,
     is_weakly_well_designed,
     is_well_designed,
-    leaf_basics,
     left_outer_join,
     parse_instance,
     parse_pattern,
@@ -42,13 +40,14 @@ from helpers import (
     M,
     ONE_TILE_EMPTY_JSON,
     ONE_TILE_SELF_JSON,
+    leaf_basics,
     rand_graph,
     rand_instance,
     rand_pattern,
     rand_pattern_nodes,
     rand_solution_set,
 )
-from oracles import join_reference, wd_reference, wwd_reference
+from oracles import enumerate_graphs, join_reference, wd_reference, wwd_reference
 
 
 def test_criterion_1_evaluator_oracle_equivalence():

@@ -1,4 +1,4 @@
-"""Per-graph checks, graph enumeration, and bounded counterexample search."""
+"""Per-graph checks, the graph enumeration oracle, and bounded counterexample search."""
 
 import functools
 import random
@@ -14,8 +14,6 @@ from optpat import (
     check_contained_on,
     check_equivalent_on,
     check_subsumed_on,
-    default_search_budget,
-    enumerate_graphs,
     find_containment_counterexample,
     find_equivalence_counterexample,
     find_subsumption_counterexample,
@@ -31,6 +29,7 @@ from optpat.pattern import leftmost_basic, pattern_constants
 from helpers import M, rand_graph, rand_pattern
 from oracles import (
     candidate_stream_reference,
+    enumerate_graphs,
     orbit_table_reference,
     relevant_reference,
     search_reference,
@@ -120,6 +119,8 @@ class TestCheckEquivalentOn:
 
 
 class TestEnumerateGraphs:
+    """The enumeration oracle behind criterion 1."""
+
     def test_single_iri(self):
         a = Iri("a")
         graphs = list(enumerate_graphs([a], 1))
@@ -190,20 +191,27 @@ class TestCandidateStream:
             nonempty_required += all(required)
         assert nonempty_required > 10
 
-    def test_resume_and_cut_match_reference(self):
+    def test_cut_matches_reference(self):
         rng = random.Random(71)
         for p, p2, budget, required, check in _stream_cases(72, 25):
-            reference = list(candidate_stream_reference(p, p2, budget, required))
-            starts = [None, (budget.max_triples, 10**9), (-1, 0)]
-            starts += rng.sample([pos for pos, _ in reference], min(3, len(reference)))
-            for start in starts:
-                expected = [item for item in reference if start is None or item[0] > start]
-                got = list(analysis._candidate_stream(p, p2, budget, required, start))
-                assert got == expected
-                cut = SearchBudget(budget.max_triples, budget.max_fresh_iris, rng.randint(0, 12))
-                assert analysis._search(p, p2, cut, check, required, start) == search_reference(
-                    p, p2, cut, check, required, start
+            length = sum(1 for _ in candidate_stream_reference(p, p2, budget, required))
+            caps = {0, 1, length - 1, length, 10**6, *(rng.randint(0, 12) for _ in range(3))}
+            for cap in sorted(c for c in caps if c >= 0):
+                cut = SearchBudget(budget.max_triples, budget.max_fresh_iris, cap)
+                assert analysis._search(p, p2, cut, check, required) == search_reference(
+                    p, p2, cut, check, required
                 )
+
+    def test_cut_inside_a_level_builds_only_its_prefix(self):
+        # 15 constants give 3,375 triples, so the 2-triple level holds about
+        # 5.7 M sets; this only passes if each level is generated lazily.
+        ground = " . ".join(f"c{i} c{i} c{i}" for i in range(1, 15))
+        p = parse_pattern(f"({{ ?x c0 ?y }} OPT {{ {ground} }})")
+        cap = 1 + 3375 + 5
+        verdict = find_subsumption_counterexample(p, p, SearchBudget(2, 0, max_candidates=cap))
+        assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
+        assert verdict.candidates_examined == cap
+        assert verdict.position == (2, 4)
 
     def test_orbit_table_matches_reference(self):
         for constants in range(6):
@@ -211,17 +219,6 @@ class TestCandidateStream:
                 if constants + fresh:
                     expected = orbit_table_reference(constants, fresh)
                     assert analysis._orbit_table(constants, fresh) == expected
-
-    def test_resume_does_not_build_earlier_levels(self):
-        # 4 constants and 3 fresh IRIs give 343 triples; the 3-triple level has
-        # about 6.7 M sets, so this only passes if levels are generated lazily.
-        p = parse_pattern("({ ?x a ?y } OPT { ?y b ?z . ?z c d })")
-        verdict = find_subsumption_counterexample(
-            p, p, SearchBudget(3, 3, max_candidates=5), start_position=(2, 10**9)
-        )
-        assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
-        assert verdict.candidates_examined == 5
-        assert verdict.position == (3, 4)
 
 
 def _chain(leaves: int, last: str) -> Opt:
@@ -245,13 +242,11 @@ class TestSamePatternSearch:
             assert copy is not p and analysis._same_pattern(p, copy)
             for check, sets in checks:
                 required = [leftmost_basic(p).ground_triples()] * sets
-                positions = [pos for pos, _ in candidate_stream_reference(p, copy, budget, required)]
-                for start in [None, *rng.sample(positions, min(2, len(positions)))]:
-                    cut = SearchBudget(
-                        budget.max_triples, budget.max_fresh_iris, rng.choice((1, 7, 10**6))
-                    )
-                    got = analysis._search(p, copy, cut, check, required, start)
-                    assert got == search_reference(p, copy, cut, check, required, start)
+                length = sum(1 for _ in candidate_stream_reference(p, copy, budget, required))
+                for cap in (1, 7, rng.randint(0, length), 10**6):
+                    cut = SearchBudget(budget.max_triples, budget.max_fresh_iris, cap)
+                    got = analysis._search(p, copy, cut, check, required)
+                    assert got == search_reference(p, copy, cut, check, required)
 
     def test_equivalence_evaluates_once_per_candidate(self, monkeypatch):
         engine = analysis.evaluate
@@ -284,10 +279,10 @@ class TestSamePatternSearch:
 
 
 class TestDecidedCandidates:
-    """A candidate holding a triple that no triple pattern of either side
-    matches is counted without evaluation exactly when its relevant part has
-    more triples than the resume level; verdicts, counts and positions stay
-    those of `oracles.search_reference`, which checks every candidate."""
+    """A candidate of two or more triples is counted without evaluation
+    exactly when it holds a triple that no triple pattern of either side
+    matches; verdicts, counts and positions stay those of
+    `oracles.search_reference`, which checks every candidate."""
 
     def test_seeded_sweep_matches_reference(self):
         rng = random.Random(80)
@@ -311,23 +306,19 @@ class TestDecidedCandidates:
                 required.append(leftmost_basic(p2).ground_triples())
             stream = list(candidate_stream_reference(p, p2, budget, required))
             relevant = functools.cache(lambda t: relevant_reference((p, p2), t))
-            for start in [None, *rng.sample([pos for pos, _ in stream], min(2, len(stream)))]:
-                cut = SearchBudget(budget.max_triples, fresh, rng.choice((3, 20, 10**6)))
+            for cap in (3, rng.randint(0, len(stream)), 10**6):
+                cut = SearchBudget(budget.max_triples, fresh, cap)
                 checked = []
 
                 def counting(a, b, g):
                     checked.append(g)
                     return check(a, b, g)
 
-                got = analysis._search(p, p2, cut, counting, required, start)
-                assert got == search_reference(p, p2, cut, check, required, start)
-                level = -1 if start is None else start[0]
-                examined = [g for pos, g in stream if start is None or pos > start]
-                examined = examined[: got.candidates_examined]
+                got = analysis._search(p, p2, cut, counting, required)
+                assert got == search_reference(p, p2, cut, check, required)
+                examined = [g for _, g in stream][: got.candidates_examined]
                 kept = [sum(map(relevant, g.triples)) for g in examined]
-                assert checked == [
-                    g for g, k in zip(examined, kept) if len(g) <= 1 or not level < k < len(g)
-                ]
+                assert checked == [g for g, k in zip(examined, kept) if len(g) <= 1 or k == len(g)]
                 searches += 1
                 skipped += len(examined) - len(checked)
                 violated += got.status is Status.VIOLATED
@@ -356,7 +347,7 @@ class TestFindSubsumption:
     def test_determinism(self):
         p = parse_pattern("{ ?x p ?x }")
         p2 = parse_pattern("{ ?x q ?y }")
-        budget = default_search_budget(p, p2)
+        budget = SearchBudget(3, 2)
         v1 = find_subsumption_counterexample(p, p2, budget)
         v2 = find_subsumption_counterexample(p, p2, budget)
         assert v1 == v2
@@ -375,17 +366,6 @@ class TestFindSubsumption:
         verdict = find_subsumption_counterexample(p, p2, SearchBudget(2, 1, max_candidates=1))
         assert verdict.status is Status.NO_COUNTEREXAMPLE_WITHIN_BUDGET
         assert verdict.candidates_examined == 1
-
-    def test_resume_after_position(self):
-        p = parse_pattern("{ ?x p ?x }")
-        p2 = parse_pattern("{ ?x q ?y }")
-        full = find_subsumption_counterexample(p, p2, SearchBudget(2, 1))
-        head = find_subsumption_counterexample(p, p2, SearchBudget(2, 1, max_candidates=1))
-        resumed = find_subsumption_counterexample(
-            p, p2, SearchBudget(2, 1), start_position=head.position
-        )
-        assert resumed.status is Status.VIOLATED
-        assert resumed.witness == full.witness
 
 
 class TestFindContainment:
@@ -449,11 +429,6 @@ class TestVerdictAndBudget:
             SearchBudget(-1, 0)
         with pytest.raises(ValueError):
             SearchBudget(1, -2)
-
-    def test_default_budget_counts_variables(self):
-        p = parse_pattern("{ ?x p ?x }")
-        p2 = parse_pattern("{ ?x q ?y }")
-        assert default_search_budget(p, p2).max_fresh_iris == 2
 
     def test_jsonable_shape(self):
         p = parse_pattern("{ ?x p ?x }")

@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +149,16 @@ class TestSubsumes:
         )
         assert recheck.status is Status.VIOLATED
         assert recheck.witness[1].to_jsonable() == mapping
+
+    def test_default_fresh_iris_one_per_variable(self, runner, tmp_path):
+        (tmp_path / "p.sp").write_text("{ ?x p ?x }")
+        (tmp_path / "p2.sp").write_text("{ ?x q ?y }")
+        args = ["--json", "--out", str(tmp_path / "out"), "subsumes",
+                str(tmp_path / "p.sp"), str(tmp_path / "p2.sp")]
+        result = runner.invoke(main, args)
+        assert json.loads(result.stdout)["budget"]["max_fresh_iris"] == 2
+        result = runner.invoke(main, [*args, "--max-fresh", "0"])
+        assert json.loads(result.stdout)["budget"]["max_fresh_iris"] == 0
 
     def test_on_graph_generated_pair(self, runner, workspace, tmp_path):
         result = runner.invoke(
@@ -378,6 +389,48 @@ class TestReductionBuiltOnce:
             assert cli._opt_nodes(chain) == len(opts)
 
 
+OUT_OF_RANGE = [
+    *(
+        ([command, "p.sp", "p.sp"], option, "-1")
+        for command in ("subsumes", "contains", "equiv")
+        for option in ("--max-triples", "--max-fresh", "--max-candidates")
+    ),
+    *(
+        (args, option, value)
+        for args in (
+            ["witness", "checker.json"],
+            ["tile", "checker.json", "--find-periodic"],
+            ["tile", "empty.json", "--certify-untileable"],
+            ["pipeline", "empty.json"],
+        )
+        for option in ("--max-period", "--max-n")
+        if option == "--max-period" or args[0] != "witness"
+        for value in ("0", "-1")
+    ),
+]
+
+
+class TestOutOfRangeBounds:
+    """A bound below its range is a usage error (exit 2), also in a mode
+    that does not read it, never an internal failure."""
+
+    @pytest.mark.parametrize(
+        "args, option, value",
+        OUT_OF_RANGE,
+        ids=[" ".join([args[0], *(a for a in args if a[:2] == "--"), option, value])
+             for args, option, value in OUT_OF_RANGE],
+    )
+    def test_usage_error(self, runner, tmp_path, monkeypatch, args, option, value):
+        (tmp_path / "p.sp").write_text("{ ?x p ?y }")
+        (tmp_path / "checker.json").write_text(CHECKERBOARD_JSON)
+        (tmp_path / "empty.json").write_text(ONE_TILE_EMPTY_JSON)
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["--out", "out", *args, option, value])
+        assert result.exit_code == 2
+        assert "internal:" not in result.stderr
+        assert f"Invalid value for '{option}'" in result.stderr
+
+
 class TestInternalFailure:
     @pytest.fixture()
     def broken_eval(self, monkeypatch, tmp_path):
@@ -434,3 +487,43 @@ class TestFileAccess:
         assert paths == [str(out / name) for name in files]
         for name, data in files.items():
             assert (out / name).read_bytes() == data.encode("utf-8")
+
+
+GOLDEN_INPUTS = {
+    "p.sp": "{ ?x p ?x }\n",
+    "p2.sp": "{ ?x q ?y }\n",
+    "g.nt": "a p a .\n",
+    "checker.json": CHECKERBOARD_JSON,
+    "empty.json": ONE_TILE_EMPTY_JSON,
+}
+GOLDEN_RUNS = {
+    "subsumes-violated": ["subsumes", "p.sp", "p2.sp"],
+    "subsumes-no-counterexample": ["subsumes", "p.sp", "p.sp"],
+    "subsumes-holds-on-graph": ["subsumes", "p.sp", "p.sp", "--on-graph", "g.nt"],
+    "reduce-checkerboard": ["reduce", "checker.json"],
+    "witness-checkerboard": ["witness", "checker.json"],
+    "pipeline-checkerboard": ["pipeline", "checker.json"],
+    "pipeline-untileable": ["pipeline", "empty.json"],
+}
+
+
+def run_golden(case: str, mode: str):
+    """Run one golden case from the current directory, with GOLDEN_INPUTS in it."""
+    flags = ["--json"] if mode == "json" else []
+    result = CliRunner().invoke(main, [*flags, "--out", "out", *GOLDEN_RUNS[case]])
+    return {"exit_code": result.exit_code, "stdout": result.stdout, "stderr": result.stderr}
+
+
+class TestGoldenOutput:
+    """Exact exit code, stdout and stderr of the commands that write files,
+    in text and --json mode. The `wrote` lines go to stdout in text mode and
+    to stderr in JSON mode; tests/golden_cli.json holds the recorded runs."""
+
+    @pytest.mark.parametrize("mode", ["text", "json"])
+    @pytest.mark.parametrize("case", list(GOLDEN_RUNS))
+    def test_output_is_unchanged(self, case, mode, tmp_path, monkeypatch):
+        golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+        for name, text in GOLDEN_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert run_golden(case, mode) == golden[f"{case} {mode}"]

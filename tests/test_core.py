@@ -1,4 +1,4 @@
-"""Data model, mapping algebra, and graph text format."""
+"""Data model, mapping extension, and graph text format."""
 
 import random
 
@@ -12,8 +12,6 @@ from optpat import (
     ParseError,
     Triple,
     Var,
-    compatible,
-    merge,
     parse_graph,
     serialize_graph,
     subsumed_mapping,
@@ -100,25 +98,6 @@ class TestGraphSerialization:
             assert parse_graph(serialize_graph(g)) == g
 
 
-class TestCompatible:
-    def test_empty_compatible_with_all(self):
-        assert compatible(EMPTY_MAPPING, M({"?x": "a"}))
-
-    def test_conflict(self):
-        assert not compatible(M({"?x": "a"}), M({"?x": "b"}))
-
-    def test_agreeing_overlap(self):
-        assert compatible(M({"?x": "a", "?y": "b"}), M({"?y": "b", "?z": "c"}))
-
-    def test_symmetric_and_reflexive(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m1, m2 = rand_mapping(rng), rand_mapping(rng)
-            assert compatible(m1, m2) == compatible(m2, m1)
-            assert compatible(m1, m1)
-            assert compatible(m1, EMPTY_MAPPING)
-
-
 class TestSubsumedMapping:
     def test_empty_subsumed_by_all(self):
         assert subsumed_mapping(EMPTY_MAPPING, M({"?x": "a"}))
@@ -140,35 +119,6 @@ class TestSubsumedMapping:
                 for m3 in mappings:
                     if subsumed_mapping(m1, m2) and subsumed_mapping(m2, m3):
                         assert subsumed_mapping(m1, m3)
-
-
-class TestMerge:
-    def test_identity(self):
-        assert merge(EMPTY_MAPPING, M({"?x": "a"})) == M({"?x": "a"})
-        assert merge(M({"?x": "a"}), EMPTY_MAPPING) == M({"?x": "a"})
-
-    def test_disjoint(self):
-        assert merge(M({"?x": "a"}), M({"?y": "b"})) == M({"?x": "a", "?y": "b"})
-
-    def test_agreeing_overlap(self):
-        assert merge(M({"?x": "a", "?y": "b"}), M({"?y": "b"})) == M({"?x": "a", "?y": "b"})
-
-    def test_incompatible_rejected(self):
-        with pytest.raises(ValueError):
-            merge(M({"?x": "a"}), M({"?x": "b"}))
-
-    def test_algebra_on_compatible_mappings(self):
-        rng = random.Random(9)
-        for _ in range(300):
-            m1, m2, m3 = (rand_mapping(rng) for _ in range(3))
-            if compatible(m1, m2):
-                assert merge(m1, m2) == merge(m2, m1)
-                assert subsumed_mapping(m1, merge(m1, m2))
-            pairwise = (
-                compatible(m1, m2) and compatible(m2, m3) and compatible(m1, m3)
-            )
-            if pairwise:
-                assert merge(merge(m1, m2), m3) == merge(m1, merge(m2, m3))
 
 
 class TestMapping:

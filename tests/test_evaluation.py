@@ -27,7 +27,7 @@ from optpat import (
 from optpat import evaluation
 
 from helpers import M, rand_graph, rand_pattern, rand_solution_set
-from oracles import join_reference
+from oracles import enumerate_graphs, join_reference
 
 
 def basic(text):
@@ -226,8 +226,6 @@ class TestOracle:
     def test_exhaustive_small_space(self):
         # every graph with <= 4 triples over 3 IRIs, against a fixed family
         # that includes three- and five-node shapes
-        from optpat import enumerate_graphs
-
         iris = [Iri("a"), Iri("b"), Iri("p")]
         l0 = "{ }"
         l1 = "{ ?x p ?y }"

@@ -19,7 +19,6 @@ from optpat import (
     find_periodic,
     is_weakly_well_designed,
     is_well_designed,
-    leaf_basics,
     parse_graph,
     parse_instance,
     parse_pattern,
@@ -35,6 +34,7 @@ from helpers import (
     M,
     ONE_TILE_EMPTY_JSON,
     ONE_TILE_SELF_JSON,
+    leaf_basics,
 )
 from oracles import _occurrences
 

@@ -15,7 +15,6 @@ from optpat import (
     parse_instance,
     replicate,
     verify_periodic,
-    verify_rectangle,
 )
 from optpat.tiling import (
     instance_to_jsonable,
@@ -31,6 +30,7 @@ from helpers import (
     rand_instance,
 )
 from oracles import _backtrack_grid as backtrack_grid_reference
+from oracles import verify_rectangle
 
 CHECKERBOARD = parse_instance(CHECKERBOARD_JSON)
 ONE_TILE_SELF = parse_instance(ONE_TILE_SELF_JSON)
