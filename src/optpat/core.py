@@ -1,8 +1,10 @@
 """Ground RDF data model: IRIs, triples, graphs, and solution mappings.
 
 IRIs are bare ASCII identifiers (no angle brackets or namespaces), and the
-graph text format is a line-oriented N-Triples subset. Everything here is
-immutable and hashable. `subsumed_mapping` is the extension test the
+graph text format is a line-oriented N-Triples subset. IRIs and variables
+are interned: one object per name and kind, kept for the whole process, so
+they compare and hash by identity in C. Everything here is immutable and
+hashable. `subsumed_mapping` is the extension test the
 subsumption checks use; the evaluator's hash join yields exactly the unions
 of compatible mappings without testing pairs one by one.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping as MappingABC
 
@@ -35,34 +38,57 @@ def _check_ident(name: str, kind: str) -> None:
         )
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
-    """A node / edge label; equality is exact string equality."""
+@total_ordering
+class _Name:
+    """One object per name and class, so equality and hashing are the
+    interpreter's identity defaults; ordered by name within one class.
 
-    name: str
+    Each class keeps its table of names for the whole process.
+    """
 
-    def __post_init__(self) -> None:
-        _check_ident(self.name, "IRI")
+    __slots__ = ("name",)
+    _kind: str
+    _table: dict[str, _Name]
 
-    def __hash__(self) -> int:
-        # The name alone: cheaper than the generated hash of a one-field tuple.
-        return hash(self.name)
+    def __new__(cls, name: str):
+        try:
+            return cls._table[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            _check_ident(name, cls._kind)
+        self = cls._table[name] = object.__new__(cls)
+        object.__setattr__(self, "name", name)
+        return self
+
+    def __setattr__(self, attr: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
+
+    def __lt__(self, other: _Name) -> bool:
+        return self.name < other.name if type(other) is type(self) else NotImplemented
+
+
+class Iri(_Name):
+    """A node / edge label; two IRIs are equal exactly when their names are."""
+
+    __slots__ = ()
+    _kind, _table = "IRI", {}
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(_Name):
     """A query variable; rendered with a leading `?` in all text formats."""
 
-    name: str  # stored without the sigil
-
-    def __post_init__(self) -> None:
-        _check_ident(self.name, "variable")
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    __slots__ = ()  # `name` is stored without the sigil
+    _kind, _table = "variable", {}
 
     def __str__(self) -> str:
         return "?" + self.name
@@ -88,16 +114,17 @@ class Triple:
 class Graph:
     """A finite, duplicate-free set of ground triples.
 
-    The predicate index and, for serialisation and iteration, the sorted
-    triples are built on first use and kept, shared by every evaluation.
+    The indexes and, for serialisation and iteration, the sorted triples
+    are built on first use and kept, shared by every evaluation.
     """
 
-    __slots__ = ("triples", "_sorted", "_by_predicate")
+    __slots__ = ("triples", "_sorted", "_by_predicate", "_by_pair")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self.triples: frozenset[Triple] = frozenset(triples)
         self._sorted: tuple[Triple, ...] | None = None
         self._by_predicate: dict[Iri, list[Triple]] | None = None
+        self._by_pair: tuple[dict[tuple[Iri, Iri], list[Triple]], ...] | None = None
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.triples
@@ -132,6 +159,16 @@ class Graph:
                 groups.setdefault(t.predicate, []).append(t)
         return self.triples, self._by_predicate
 
+    def pair_index(self) -> tuple[dict[tuple[Iri, Iri], list[Triple]], ...]:
+        """Each (predicate, subject) and each (predicate, object) pair's
+        triples, in set order, as two dicts; built once, read-only."""
+        if self._by_pair is None:
+            self._by_pair = by_subject, by_object = {}, {}
+            for t in self.triples:
+                by_subject.setdefault((t.predicate, t.subject), []).append(t)
+                by_object.setdefault((t.predicate, t.object), []).append(t)
+        return self._by_pair
+
     def iris(self) -> set[Iri]:
         """All IRIs occurring in any position of any triple."""
         out: set[Iri] = set()
@@ -147,7 +184,8 @@ class Mapping:
 
     Equality is extensional (same domain, same values); instances are
     hashable so solution sets can deduplicate them. The hash is computed
-    once, since joins hash every mapping many times.
+    once, since joins hash every mapping many times; the join reads the
+    bindings dict `_dict` and the name-ordered `_items` directly.
     """
 
     __slots__ = ("_dict", "_items", "_hash")
@@ -159,6 +197,13 @@ class Mapping:
             sorted(d.items(), key=lambda kv: kv[0].name)
         )
         self._hash = hash(self._items)
+
+    @classmethod
+    def from_sorted(cls, items: tuple[tuple[Var, Iri], ...]) -> Mapping:
+        """The mapping of distinct (variable, IRI) pairs already in name order."""
+        m = object.__new__(cls)
+        m._dict, m._items, m._hash = dict(items), items, hash(items)
+        return m
 
     @property
     def domain(self) -> frozenset[Var]:

@@ -15,7 +15,8 @@ with the engine so the two act as independent routes to the same contract.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .core import EMPTY_MAPPING, Graph, Iri, Mapping, Var
 from .pattern import BasicPattern, Leaf, Opt, Pattern, TriplePattern
@@ -66,18 +67,24 @@ class SolutionSet:
 def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
     """All mappings with domain exactly vars(b) that send b into g.
 
-    Backtracking search over an explicit stack: at each step the remaining
-    triple pattern with the fewest candidate graph triples under the current
-    bindings is expanded (most-constrained-first), and a branch is dropped
-    as soon as some remaining pattern has no candidate. Candidates come from
-    the graph's predicate index (`Graph.predicate_index`), built on the
-    first call for a graph and reused by every later one.
+    The ground templates are membership tests, made once. The others are
+    matched by a backtracking search over an explicit stack: at each step
+    the remaining triple pattern with the fewest candidate graph triples
+    under the current bindings is expanded (most-constrained-first), and a
+    branch is dropped as soon as some remaining pattern has no candidate.
+    Candidates come from the graph's buckets, built on first use and reused
+    by every later call: per predicate (`Graph.predicate_index`), and per
+    (predicate, subject) and (predicate, object) pair (`Graph.pair_index`),
+    so a bound subject or object is one dict lookup.
     """
-    templates = b.sorted_triples()
+    ground, templates = b.split_ground()
+    if not g.triples.issuperset(ground):
+        return SolutionSet()
     if not templates:
         return SolutionSet([EMPTY_MAPPING])
 
     all_triples, by_predicate = g.predicate_index()
+    by_subject = by_object = None
     solutions: set[Mapping] = set()
     stack: list[tuple[tuple[TriplePattern, ...], dict[Var, Iri]]] = [(templates, {})]
     while stack:
@@ -92,13 +99,24 @@ def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
                     p = bound.get(p, p)
                 if type(o) is Var:
                     o = bound.get(o, o)
-            pool = all_triples if type(p) is Var else by_predicate.get(p, ())
-            if type(s) is Var:
-                cands = pool if type(o) is Var else [t for t in pool if t.object == o]
-            elif type(o) is Var:
-                cands = [t for t in pool if t.subject == s]
+            if type(p) is Var:
+                cands = all_triples
+                if type(s) is not Var:
+                    cands = [t for t in cands if t.subject is s]
+                if type(o) is not Var:
+                    cands = [t for t in cands if t.object is o]
+            elif type(s) is not Var:
+                if by_subject is None:
+                    by_subject, by_object = g.pair_index()
+                cands = by_subject.get((p, s), ())
+                if type(o) is not Var:
+                    cands = [t for t in cands if t.object is o]
+            elif type(o) is not Var:
+                if by_subject is None:
+                    by_subject, by_object = g.pair_index()
+                cands = by_object.get((p, o), ())
             else:
-                cands = [t for t in pool if t.subject == s and t.object == o]
+                cands = by_predicate.get(p, ())
             if not cands:
                 break
             if i == 0 or len(cands) < len(best):
@@ -113,8 +131,7 @@ def match_basic(b: BasicPattern, g: Graph) -> SolutionSet:
                 extended = dict(bound)
                 for k, var in free:
                     value = values[k]
-                    seen = extended.setdefault(var, value)
-                    if seen is not value and seen != value:
+                    if extended.setdefault(var, value) is not value:
                         break
                 else:
                     if rest:
@@ -131,13 +148,23 @@ def _by_domain(mappings: Iterable[Mapping]) -> dict[frozenset[Var], list[Mapping
     return groups
 
 
+def _merger(left: frozenset[Var], right: frozenset[Var]) -> Callable[[tuple, tuple], tuple]:
+    """From `m1._items + m2._items`, for compatible m1 and m2 with domains
+    `left` and `right`, the items of their union: one pair per variable,
+    in name order. Both sides are in name order, so nothing is sorted."""
+    both = sorted(left) + sorted(right)
+    keep = sorted({v: k for k, v in enumerate(both)}.values(), key=both.__getitem__)
+    return itemgetter(*keep) if len(keep) > 1 else lambda items: tuple(items[k] for k in keep)
+
+
 def left_outer_join(w1: SolutionSet, w2: SolutionSet) -> SolutionSet:
     """Merge every compatible pair; keep left mappings with no partner.
 
     Hash join: both sides are grouped by domain. Within one pair of domain
     groups, two mappings are compatible exactly when they agree on the
-    shared variables, so the right group is hashed on those values and each
-    left mapping probes it. An empty right side returns `w1` itself.
+    shared variables, so the right group is hashed on those values, read by
+    one `itemgetter` from each mapping's dict, and each left mapping probes
+    it. An empty right side returns `w1` itself.
     """
     if not w2.mappings:
         return w1
@@ -146,15 +173,18 @@ def left_outer_join(w1: SolutionSet, w2: SolutionSet) -> SolutionSet:
     for domain, lefts in _by_domain(w1.mappings).items():
         unmatched = set(lefts)
         for right_domain, rights in right_groups.items():
-            shared = sorted(domain & right_domain)
-            table: dict[tuple[Iri, ...], list[Mapping]] = {}
+            shared = domain & right_domain
+            key = itemgetter(*shared) if shared else lambda bindings: ()
+            table: dict[object, list[Mapping]] = {}
             for m2 in rights:
-                table.setdefault(tuple(m2[v] for v in shared), []).append(m2)
+                table.setdefault(key(m2._dict), []).append(m2)
+            merge = None  # built at the first match
             for m1 in lefts:
-                partners = table.get(tuple(m1[v] for v in shared))
+                partners = table.get(key(m1._dict))
                 if partners:
                     unmatched.discard(m1)
-                    out.update(Mapping(m1.items() + m2.items()) for m2 in partners)
+                    merge = merge or _merger(domain, right_domain)
+                    out.update(Mapping.from_sorted(merge(m1._items + m2._items)) for m2 in partners)
         out.update(unmatched)
     return SolutionSet(out)
 

@@ -34,11 +34,12 @@ class TriplePattern:
 class BasicPattern:
     """A possibly empty, duplicate-free set of triple patterns."""
 
-    __slots__ = ("triples", "_sorted")
+    __slots__ = ("triples", "_sorted", "_split")
 
     def __init__(self, triples: Iterable[TriplePattern] = ()):
         self.triples: frozenset[TriplePattern] = frozenset(triples)
         self._sorted: tuple[TriplePattern, ...] | None = None
+        self._split: tuple[frozenset[Triple], tuple[TriplePattern, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -68,11 +69,16 @@ class BasicPattern:
 
     def ground_triples(self) -> frozenset[Triple]:
         """The fully ground templates, as graph triples."""
-        return frozenset(
-            Triple(tp.subject, tp.predicate, tp.object)
-            for tp in self.triples
-            if not any(isinstance(t, Var) for t in tp.terms())
-        )
+        return self.split_ground()[0]
+
+    def split_ground(self) -> tuple[frozenset[Triple], tuple[TriplePattern, ...]]:
+        """The ground templates as graph triples, and the others in text
+        order; computed once."""
+        if self._split is None:
+            ground = {tp for tp in self.triples if not any(isinstance(t, Var) for t in tp.terms())}
+            rest = tuple(tp for tp in self.sorted_triples() if tp not in ground)
+            self._split = frozenset(Triple(*tp.terms()) for tp in ground), rest
+        return self._split
 
 
 @dataclass(frozen=True)

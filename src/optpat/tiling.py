@@ -99,9 +99,6 @@ class RectTiling:
         if len(self.rows) != self.height or any(len(row) != self.width for row in self.rows):
             raise ValueError("grid shape does not match the declared dimensions")
 
-    def tile(self, x: int, y: int) -> str:
-        return self.rows[y][x]
-
 
 def _as_pairs(value: object, key: str, tiles: Sequence[str]) -> frozenset[Pair]:
     if not isinstance(value, list):

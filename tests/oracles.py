@@ -455,9 +455,9 @@ def verify_rectangle(inst: TilingInstance, rt: RectTiling) -> bool:
                 raise ValueError(f"grid uses unknown tile {t!r}")
     for y in range(rt.height):
         for x in range(rt.width):
-            here = rt.tile(x, y)
-            if x + 1 < rt.width and (here, rt.tile(x + 1, y)) not in inst.h_compat:
+            here = rt.rows[y][x]
+            if x + 1 < rt.width and (here, rt.rows[y][x + 1]) not in inst.h_compat:
                 return False
-            if y + 1 < rt.height and (here, rt.tile(x, y + 1)) not in inst.v_compat:
+            if y + 1 < rt.height and (here, rt.rows[y + 1][x]) not in inst.v_compat:
                 return False
     return True

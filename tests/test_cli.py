@@ -1,12 +1,16 @@
 """CLI behaviors: formats, exit codes, files written, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import optpat
 from optpat import Opt, cli, parse_graph, parse_pattern, reduction, verify_witness
 from optpat.cli import main
 from optpat.reduction import WitnessPair
@@ -527,3 +531,46 @@ class TestGoldenOutput:
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert run_golden(case, mode) == golden[f"{case} {mode}"]
+
+
+DETERMINISM_RUNS = [
+    ["--json", "--out", "wit", "witness", "checker.json"],
+    ["--out", "red", "reduce", "checker.json"],
+    ["eval", "wit/G.nt", "red/Pprime.sp"],
+    ["--out", "sub", "subsumes", "p.sp", "p2.sp"],
+    ["--json", "equiv", "w1.sp", "w1.sp"],
+    ["--json", "--out", "pipe", "pipeline", "checker.json"],
+]
+
+
+class TestCrossProcessDeterminism:
+    """Set iteration order depends on PYTHONHASHSEED and, through the
+    identity hashes of interned terms, on object addresses; no output may."""
+
+    def test_two_hash_seeds_print_and_write_the_same_bytes(self, tmp_path):
+        inputs = {**GOLDEN_INPUTS, "w1.sp": "({ ?x p ?y } OPT { ?y q ?z })\n"}
+        roots = [tmp_path / seed for seed in ("0", "1")]
+        for root in roots:
+            root.mkdir()
+            for name, text in inputs.items():
+                (root / name).write_text(text)
+        src = str(Path(optpat.__file__).resolve().parents[1])
+        for args in DETERMINISM_RUNS:
+            procs = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "optpat.cli", *args], cwd=root,
+                    env={**os.environ, "PYTHONHASHSEED": root.name, "PYTHONPATH": src},
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                )
+                for root in roots
+            ]
+            runs = [(*proc.communicate(timeout=60), proc.returncode) for proc in procs]
+            assert runs[0] == runs[1], args
+            assert runs[0][2] in (0, 1) and runs[0][0], args
+
+        def written(root):
+            return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+        first, second = map(written, roots)
+        assert len(first) == len(inputs) + 14  # 3 witness, 3 reduce, 2 subsumes, 6 pipeline files
+        assert first == second

@@ -1,5 +1,8 @@
 """Data model, mapping extension, and graph text format."""
 
+import copy
+import operator
+import pickle
 import random
 
 import pytest
@@ -37,6 +40,58 @@ class TestIdentifiers:
         assert Iri("a") == Iri("a")
         assert Iri("a") != Iri("b")
         assert Iri("x") != Var("x")
+
+
+class TestInterning:
+    def test_one_object_per_name_and_kind(self):
+        assert Iri("a") is Iri("a")
+        assert Var("a") is Var("a")
+        assert Iri("a") is not Var("a") and Iri("a") != Var("a")
+        assert len({Iri("a"), Var("a"), Iri("a")}) == 2
+
+    def test_ordered_by_name_within_a_kind(self):
+        names = ["b", "B", "a_1", "_z", "a"]
+        assert [i.name for i in sorted(map(Iri, names))] == sorted(names)
+        assert [v.name for v in sorted(map(Var, names))] == sorted(names)
+        assert Iri("a") < Iri("b") <= Iri("b") and Iri("c") >= Iri("b") > Iri("a")
+        assert sorted([Triple(Iri("b"), Iri("p"), Iri("a")), Triple(Iri("a"), Iri("q"), Iri("b"))])[0].subject is Iri("a")
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_iri_and_var_do_not_compare(self, compare):
+        with pytest.raises(TypeError):
+            compare(Iri("a"), Var("a"))
+
+    @pytest.mark.parametrize("term", [Iri("a"), Var("x")])
+    def test_copy_and_pickle_return_the_same_object(self, term):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.deepcopy(Triple(Iri("a"), Iri("p"), Iri("b"))).subject is Iri("a")
+
+    @pytest.mark.parametrize("term", [Iri("a"), Var("x")])
+    def test_immutable(self, term):
+        with pytest.raises(AttributeError):
+            term.name = "b"
+        with pytest.raises(AttributeError):
+            term.other = 1
+        with pytest.raises(AttributeError):
+            del term.name
+        assert term.name in ("a", "x")
+
+    def test_repr_and_str_unchanged(self):
+        assert repr(Iri("a")) == "Iri(name='a')" and str(Iri("a")) == "a"
+        assert repr(Var("x")) == "Var(name='x')" and str(Var("x")) == "?x"
+
+    @pytest.mark.parametrize("name", ["", "1a", "a-b", "é", None, 7, b"a", ["a"]])
+    def test_invalid_name_raises_and_is_not_kept(self, name):
+        for cls, kind in ((Iri, "IRI"), (Var, "variable")):
+            before = dict(cls._table)
+            with pytest.raises(ValueError) as err:
+                cls(name)
+            assert str(err.value) == (
+                f"invalid {kind} name {name!r}: expected an identifier ([A-Za-z_][A-Za-z0-9_]*)"
+            )
+            assert cls._table == before
 
 
 class TestGraphParsing:

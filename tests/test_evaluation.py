@@ -7,6 +7,7 @@ import pytest
 
 from optpat import (
     EMPTY_MAPPING,
+    BasicPattern,
     Graph,
     Iri,
     Leaf,
@@ -14,6 +15,7 @@ from optpat import (
     Opt,
     OracleBudgetError,
     SolutionSet,
+    TriplePattern,
     Var,
     evaluate,
     evaluate_oracle,
@@ -26,7 +28,7 @@ from optpat import (
 )
 from optpat import evaluation
 
-from helpers import M, rand_graph, rand_pattern, rand_solution_set
+from helpers import DEFAULT_CONSTS, M, rand_basic, rand_graph, rand_pattern, rand_solution_set
 from oracles import enumerate_graphs, join_reference
 
 
@@ -59,6 +61,36 @@ class TestMatchBasic:
         g = parse_graph("a p b .")
         assert match_basic(basic("{ a p b }"), g) == SolutionSet([EMPTY_MAPPING])
         assert match_basic(basic("{ a p a }"), g) == SolutionSet()
+
+    def test_ground_templates_agree_with_oracle(self):
+        # Ground templates, present in the graph or not, mixed with
+        # variable ones: the membership tests and the search agree with the oracle.
+        rng = random.Random(39)
+        outcomes = set()
+        for _ in range(300):
+            g = rand_graph(rng, DEFAULT_CONSTS, 8)
+            present = sorted(g.triples)
+            ground = []
+            for _ in range(rng.randint(1, 3)):
+                if present and rng.random() < 0.7:
+                    t = rng.choice(present)
+                    ground.append(TriplePattern(t.subject, t.predicate, t.object))
+                else:
+                    ground.append(TriplePattern(*(rng.choice(DEFAULT_CONSTS) for _ in range(3))))
+            b = BasicPattern([*ground, *rand_basic(rng).triples])
+            got = match_basic(b, g)
+            assert got == evaluate_oracle(Leaf(b), g)
+            outcomes.add((b.ground_triples() <= g.triples, bool(got)))
+        assert outcomes >= {(True, True), (False, False)}
+
+    def test_two_thousand_ground_templates(self):
+        lines = [f"n{i} p{i % 7} n{i + 1}" for i in range(2000)]
+        g = parse_graph(" .\n".join(lines) + " .\nn5 q m1 .\nn6 q m2 .\n")
+        b = basic("{ " + " . ".join(lines) + " . ?x q ?y }")
+        assert len(b.ground_triples()) == 2000
+        assert match_basic(b, g) == SolutionSet([M({"?x": "n5", "?y": "m1"}), M({"?x": "n6", "?y": "m2"})])
+        absent = basic("{ " + " . ".join(lines) + " . n0 p0 n0 . ?x q ?y }")
+        assert match_basic(absent, g) == SolutionSet()
 
     def test_domains_are_exactly_leaf_vars(self):
         rng = random.Random(50)
